@@ -127,20 +127,23 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
       fault_update();
       continue;  // goto redo (Fig 4).
     }
-    // Erroneous-return-value-aware stub logic (§III-C): EINVAL for a
-    // descriptor we track is legitimate only if the server has not been
-    // micro-rebooted behind our back since we translated the id — another
-    // client's fault may have wiped it between our epoch check and this
-    // invocation. Recover (unless a concurrent caller already did) and redo.
-    // wire_epoch alone is not enough: if the server crashes again between
-    // this iteration's recovery walk and the id translation (the thread can
-    // park inside the walk and wake on the very tick of the new crash),
-    // wire_epoch is read post-crash and matches fault_epoch even though the
-    // walk ran against the previous incarnation. last_epoch_ still holds the
-    // epoch the walk absorbed, so comparing it catches that window.
-    if (res.ret == kernel::kErrInval && desc != nullptr &&
+    // Erroneous-return-value-aware stub logic (§III-C): EINVAL is legitimate
+    // only if the server has not been micro-rebooted behind our back since
+    // we translated the id — another client's fault may have wiped it between
+    // our epoch check and this invocation. Recover (unless a concurrent
+    // caller already did) and redo. The wire_epoch clause holds for every
+    // descriptor, foreign ones included: a reboot during the call can wipe
+    // one the server stub's G0 path has just recreated.
+    // wire_epoch alone is not enough for a descriptor we track: if the
+    // server crashes again between this iteration's recovery walk and the id
+    // translation (the thread can park inside the walk and wake on the very
+    // tick of the new crash), wire_epoch is read post-crash and matches
+    // fault_epoch even though the walk ran against the previous incarnation.
+    // last_epoch_ still holds the epoch the walk absorbed, so comparing it
+    // catches that window.
+    if (res.ret == kernel::kErrInval &&
         (kernel_.fault_epoch(server_) != wire_epoch ||
-         (!test_knobs.disable_epoch_redo_check &&
+         (desc != nullptr && !test_knobs.disable_epoch_redo_check &&
           kernel_.fault_epoch(server_) != last_epoch_))) {
       ++stats_.redos;
       if (kernel_.fault_epoch(server_) != last_epoch_) fault_update();

@@ -4,9 +4,9 @@
 
 /// Declarations for the spec-builder functions sgidlc generates at build
 /// time from idl/*.sgidl (see src/idl/CMakeLists.txt). Each returns the
-/// compiled-and-validated InterfaceSpec for one system service; tests assert
-/// equivalence with both the runtime-compiled specs and the hand-built
-/// reference specs.
+/// compiled-and-validated InterfaceSpec for one system service. These are
+/// the specs components::System registers; tests assert equivalence with
+/// both the runtime-compiled specs and the hand-built reference specs.
 namespace sg::gen {
 
 sg::c3::InterfaceSpec make_sched_spec();

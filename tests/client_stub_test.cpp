@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "c3/client_stub.hpp"
 #include "c3/recovery.hpp"
 #include "components/system.hpp"
@@ -176,6 +178,37 @@ TEST(ClientStubTest, ForeignDescriptorsPassThroughUntracked) {
     EXPECT_EQ(user_stub.call("evt_trigger", {user.id(), evtid}), kernel::kOk);
     EXPECT_EQ(user_stub.table().size(), 0u);  // Not its descriptor.
     EXPECT_EQ(creator_stub.table().size(), 1u);
+  });
+}
+
+TEST(ClientStubTest, ForeignDescriptorRedoesAfterRebootDuringCall) {
+  // The user triggers an event the creator owns after evt lost it, so the
+  // server stub's G0 path upcalls the creator to recreate it. evt then
+  // micro-reboots again before the G0 replay, which meets an empty table and
+  // returns EINVAL. That EINVAL is stale — the server rebooted during the
+  // call — so the user's stub must redo even though it does not track the
+  // descriptor.
+  SystemConfig config = sg_config();
+  config.cores = 1;
+  System sys(config);
+  auto& creator = sys.create_app("creator");
+  auto& user = sys.create_app("user");
+  bool crash_armed = true;
+  test::run_thread(sys, [&] {
+    auto& creator_stub = sys.coordinator().client_stub(creator, "evt");
+    auto& user_stub = sys.coordinator().client_stub(user, "evt");
+    const Value evtid = creator_stub.call("evt_split", {creator.id(), 0, 0});
+    const std::string upcall = c3::ClientStub::recreate_fn_name("evt");
+    auto recreate = creator.replace_fn(upcall, nullptr);
+    creator.replace_fn(upcall, [&, recreate](kernel::CallCtx& ctx, const kernel::Args& args) {
+      const Value ret = recreate(ctx, args);
+      if (std::exchange(crash_armed, false)) sys.kernel().inject_crash(sys.evt().id());
+      return ret;
+    });
+    sys.kernel().inject_crash(sys.evt().id());
+    EXPECT_EQ(user_stub.call("evt_trigger", {user.id(), evtid}), kernel::kOk);
+    EXPECT_FALSE(crash_armed);
+    EXPECT_EQ(user_stub.stats().redos, 1u);
   });
 }
 
