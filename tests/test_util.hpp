@@ -72,4 +72,14 @@ inline void run_threads(components::System& system,
   system.kernel().run();
 }
 
+/// Test parameter naming one service's spec builder. It prints as the service
+/// name, so ctest registers the case as `.../<service>` rather than under the
+/// builder's address, which moves with every relink.
+struct NamedSpec {
+  const char* service;
+  c3::InterfaceSpec (*make)();
+};
+
+inline void PrintTo(const NamedSpec& spec, std::ostream* os) { *os << spec.service; }
+
 }  // namespace sg::test
