@@ -4,6 +4,10 @@
 // on-demand descriptor recovery. Useful for relating Fig 6/7 deltas to
 // their constituent costs.
 
+#include <algorithm>
+#include <chrono>
+#include <string>
+
 #include <benchmark/benchmark.h>
 
 #include "c3/interface_spec.hpp"
@@ -105,6 +109,44 @@ void BM_MicroReboot(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_MicroReboot);
+
+/// The kernel thread handoff: µs per Kernel::yield with N runnable
+/// same-priority threads on one simulated core (the shape of sgbench's
+/// kernel.switch_us probe). Each iteration times one ring from the first
+/// yield to the last thread's exit; `switch_us` is the mean over all rings.
+/// A handoff that wakes only the next thread stays flat in N.
+void BM_KernelHandoff(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kSwitchesPerRing = 4000;
+  const int threads = static_cast<int>(state.range(0));
+  const int per_thread = std::max(1, kSwitchesPerRing / threads);
+  double total_s = 0;
+  double total_switches = 0;
+  for (auto _ : state) {
+    kernel::Kernel kern;
+    Clock::time_point start;
+    Clock::time_point end;
+    for (int t = 0; t < threads; ++t) {
+      kern.thd_create("yield-" + std::to_string(t), 10, [&kern, &start, &end, t, per_thread] {
+        if (t == 0) start = Clock::now();
+        for (int i = 0; i < per_thread; ++i) kern.yield();
+        end = Clock::now();
+      });
+    }
+    kern.run();
+    const double ring_s = std::chrono::duration<double>(end - start).count();
+    state.SetIterationTime(ring_s);
+    total_s += ring_s;
+    total_switches += static_cast<double>(threads) * per_thread;
+  }
+  state.counters["switch_us"] = total_switches > 0 ? total_s * 1e6 / total_switches : 0;
+}
+BENCHMARK(BM_KernelHandoff)
+    ->Arg(2)
+    ->Arg(8)
+    ->Arg(16)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DescriptorRecovery(benchmark::State& state) {
   run_in_system(state, FtMode::kSuperGlue, [](benchmark::State& st, System& sys, auto& app) {

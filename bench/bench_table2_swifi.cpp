@@ -247,7 +247,9 @@ static int run_multicore_mode(int cores, bool emit_json) {
   const bool correct = lock_state.correct && evt_state.correct && tmr_state.correct &&
                        ramfs_state.correct && !crashed;
   for (const auto* st : {&lock_state, &evt_state, &tmr_state, &ramfs_state}) {
-    if (!st->correct) std::printf("concurrent-recovery workload failed: %s\n", st->fail_reason);
+    if (!st->correct) {
+      std::printf("concurrent-recovery workload failed: %s\n", st->fail_reason.load());
+    }
   }
   std::printf("concurrent recovery: %d workload iterations beside %d ramfs reboots, "
               "max %d threads truly parallel, %d invariant violations, %s\n",

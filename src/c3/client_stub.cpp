@@ -75,6 +75,7 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
   for (int redo = 0; redo < kMaxRedos; ++redo) {
     Args wire = args;
     TrackedDesc* desc = nullptr;
+    TrackedDesc* parent = nullptr;
 
     // --- pre-invocation descriptor bookkeeping ---------------------------
     if (fn.desc_idx >= 0) {
@@ -107,10 +108,31 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
       // through; the server stub's G0 path owns its recovery.
     }
     if (fn.parent_idx >= 0) {
-      TrackedDesc* parent = table_.find(args[static_cast<std::size_t>(fn.parent_idx)]);
+      parent = table_.find(args[static_cast<std::size_t>(fn.parent_idx)]);
       if (parent != nullptr) {
         ensure_recovered(*parent);
         wire[static_cast<std::size_t>(fn.parent_idx)] = parent->sid();
+      }
+    }
+
+    // cores>1: a fault on another core can reboot the server between the
+    // translation above and the invocation, and a thread sharing this stub
+    // can absorb it meanwhile. Fence the call on the epoch the descriptors
+    // were recovered against: read it, re-check that what we translated is
+    // still settled (fault_update marks before it publishes the epoch), and
+    // let the kernel refuse the dispatch if the server rebooted since. At
+    // cores=1 nothing runs in between, so the re-check always passes; the
+    // fence refuses only a call whose descriptors missed a reboot while the
+    // walk parked, the window the EINVAL check below also covers.
+    int translated_epoch = -1;
+    if ((desc != nullptr || parent != nullptr) && !test_knobs.disable_epoch_redo_check) {
+      translated_epoch = last_epoch_;
+      const kernel::ThreadId me = kernel_.current_thread();
+      const bool guard = !test_knobs.disable_walk_guard;
+      if ((desc != nullptr && !DescTable::walk_settled(*desc, me, guard)) ||
+          (parent != nullptr && !DescTable::walk_settled(*parent, me, guard))) {
+        ++stats_.redos;
+        continue;
       }
     }
 
@@ -121,7 +143,8 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
     // stale EINVAL look legitimate below.
     const int wire_epoch = kernel_.fault_epoch(server_);
     const std::uint64_t pre_seq = desc != nullptr ? desc->commit_seq : 0;
-    const kernel::InvokeResult res = kernel_.invoke(client_.id(), server_, fn.decl->name, wire);
+    const kernel::InvokeResult res =
+        kernel_.invoke(client_.id(), server_, fn.decl->name, wire, translated_epoch);
     if (res.fault) {
       ++stats_.redos;
       fault_update();
@@ -161,8 +184,11 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
 void ClientStub::fault_update() {
   const int epoch = kernel_.fault_epoch(server_);
   if (epoch == last_epoch_) return;
-  last_epoch_ = epoch;
+  // Mark before publishing the epoch: a thread sharing this stub that reads
+  // the new last_epoch_ skips fault_update, so its next walk claim must
+  // already find every descriptor faulty.
   table_.mark_all_faulty();
+  last_epoch_ = epoch;
 }
 
 void ClientStub::recover_all() {
@@ -176,7 +202,7 @@ Value ClientStub::recreate_by_vid(Value vid) {
   TrackedDesc* desc = table_.find(vid);
   if (desc == nullptr) return kernel::kErrInval;
   fault_update();
-  desc->faulty = true;  // Force a fresh replay even if our epoch was current.
+  DescTable::set_faulty(*desc, true);  // Force a fresh replay even if our epoch was current.
   kernel_.trace(trace::EventKind::kMechanism, server_,
                 static_cast<std::int32_t>(trace::Mechanism::kU0), 0, vid);
   ensure_recovered(*desc);
@@ -189,22 +215,24 @@ void ClientStub::ensure_recovered(TrackedDesc& desc, int depth) {
   // admission gate). Its sid is about to be remapped; wait for the walk
   // instead of taking the cleared `faulty` bit at face value. park_tick (not
   // yield) so a lower-priority walk owner gets the CPU to finish its walk.
-  while (!test_knobs.disable_walk_guard && desc.recovering != kernel::kNoThread &&
-         desc.recovering != kernel_.current_thread()) {
+  const kernel::ThreadId me = kernel_.current_thread();
+  const bool guard = !test_knobs.disable_walk_guard;
+  if (DescTable::walk_settled(desc, me, guard)) return;
+  kernel::ThreadId walk_owner = kernel::kNoThread;
+  for (;;) {
+    const DescTable::WalkClaim claim = DescTable::claim_walk(desc, me, guard, &walk_owner);
+    if (claim == DescTable::WalkClaim::kClean) return;
+    if (claim == DescTable::WalkClaim::kClaimed) break;
     kernel_.park_tick();
   }
-  if (!desc.faulty) return;
   SG_ASSERT_MSG(depth < kMaxParentDepth, spec_.service + ": descriptor parent chain too deep");
   kernel_.trace(trace::EventKind::kMechanism, server_,
                 static_cast<std::int32_t>(trace::Mechanism::kT1), 0, desc.vid);
-  desc.faulty = false;  // Clear first: walks re-enter call paths via parents.
-  const kernel::ThreadId walk_owner = desc.recovering;
-  desc.recovering = kernel_.current_thread();
   struct WalkGuard {
     TrackedDesc& desc;
     kernel::ThreadId restore;
-    ~WalkGuard() { desc.recovering = restore; }
-  } guard{desc, walk_owner};
+    ~WalkGuard() { DescTable::end_walk(desc, restore); }
+  } walk_guard{desc, walk_owner};
   for (int attempt = 0; attempt < kMaxRecoveryAttempts; ++attempt) {
     try {
       recover_once(desc, depth);
@@ -215,7 +243,7 @@ void ClientStub::ensure_recovered(TrackedDesc& desc, int depth) {
       // is s_f again. Restart this descriptor's walk.
       kernel_.trace(trace::EventKind::kWalkAbort, server_, 0, 0, desc.vid);
       fault_update();
-      desc.faulty = false;
+      DescTable::set_faulty(desc, false);
     }
   }
   throw kernel::SystemCrash(kernel::CrashKind::kDoubleFault, server_,
@@ -231,7 +259,7 @@ void ClientStub::recover_once(TrackedDesc& desc, int depth) {
   if (desc.parent_vid != kNoParent) {
     TrackedDesc* parent = table_.find(desc.parent_vid);
     if (parent != nullptr) {
-      if (parent->faulty) {
+      if (DescTable::faulty(*parent)) {
         kernel_.trace(trace::EventKind::kMechanism, server_,
                       static_cast<std::int32_t>(trace::Mechanism::kD1), 0, parent->vid);
       }
@@ -277,7 +305,7 @@ void ClientStub::recover_subtree(TrackedDesc& desc) {
   for (const Value child_vid : desc.children) {
     TrackedDesc* child = table_.find(child_vid);
     if (child == nullptr) continue;
-    if (child->faulty) {
+    if (DescTable::faulty(*child)) {
       kernel_.trace(trace::EventKind::kMechanism, server_,
                     static_cast<std::int32_t>(trace::Mechanism::kD0), 0, child->vid);
     }

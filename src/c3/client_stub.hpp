@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -94,7 +95,8 @@ class ClientStub final : public Invoker {
     /// second thread can race past a peer's half-done recovery walk.
     bool disable_walk_guard = false;
     /// PR 4 regression: drop the `last_epoch_` term from the EINVAL redo
-    /// check, re-opening the fault-after-walk-before-retry window.
+    /// check and the translated-epoch dispatch fence, re-opening the
+    /// fault-after-walk-before-retry window.
     bool disable_epoch_redo_check = false;
   };
   static TestKnobs test_knobs;
@@ -136,7 +138,9 @@ class ClientStub final : public Invoker {
   NsId storage_ns_ = kNoNs;    ///< Interned storage namespace for the service.
   bool records_creators_ = false;  ///< G_dr or XCParent: keep creator records.
   DescTable table_;
-  int last_epoch_ = 0;
+  /// The server epoch whose fault this stub has absorbed. Atomic: threads
+  /// sharing the stub read it concurrently at cores>1 (see fault_update).
+  std::atomic<int> last_epoch_{0};
   StubStats stats_;
 };
 

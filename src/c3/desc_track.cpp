@@ -37,7 +37,7 @@ TrackedDesc& DescTable::create(Value vid, Value sid, StateId initial_state,
   desc.sid_ = sid;
   desc.state = initial_state;
   desc.creation_args = std::move(creation_args);
-  desc.faulty = false;
+  set_faulty(desc, false);
   desc.zombie = false;
   by_sid_.emplace(sid, index);
   return desc;
@@ -178,7 +178,30 @@ void DescTable::remove_locked(Value vid, bool cascade) {
 void DescTable::mark_all_faulty() {
   std::lock_guard<std::mutex> guard(mu_);
   for (auto& slot : slots_) {
-    if (slot.live) slot.desc.faulty = true;
+    if (slot.live) set_faulty(slot.desc, true);
+  }
+}
+
+// The walk guard is lock-free: every tracked call passes it. A claimer
+// publishes its ownership (CAS on `recovering`) before it clears `faulty`,
+// and readers load the owner again after seeing `faulty` clear, so a walk
+// that started between their two reads is never taken for "recovered".
+// std::atomic_ref keeps TrackedDesc a plain, copyable record.
+DescTable::WalkClaim DescTable::claim_walk(TrackedDesc& desc, kernel::ThreadId me, bool guard,
+                                           kernel::ThreadId* prev_owner) {
+  std::atomic_ref<kernel::ThreadId> owner(desc.recovering);
+  std::atomic_ref<bool> faulty(desc.faulty);
+  auto foreign = [&](kernel::ThreadId t) { return guard && t != kernel::kNoThread && t != me; };
+  for (;;) {
+    kernel::ThreadId cur = owner.load();
+    if (foreign(cur)) return WalkClaim::kBusy;
+    if (!faulty.load()) return foreign(owner.load()) ? WalkClaim::kBusy : WalkClaim::kClean;
+    if (!owner.compare_exchange_strong(cur, me)) continue;  // Another claimer won the race.
+    if (faulty.exchange(false)) {  // Clear first: walks re-enter call paths via parents.
+      *prev_owner = cur;
+      return WalkClaim::kClaimed;
+    }
+    owner.store(cur);  // A walk finished between our reads: nothing left to do.
   }
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -81,7 +82,10 @@ struct TrackedDesc {
 /// descriptor's active thread (the client handler holding the component's
 /// occupancy, the per-descriptor `recovering` walker, or the coordinator's
 /// token-holding sweep), exactly the single-writer discipline the commit_seq
-/// protocol already encodes. The lock is never held across a kernel call.
+/// protocol already encodes. The exceptions are `faulty` and `recovering`,
+/// which every sharing thread reads: they are accessed atomically, through
+/// the walk-guard functions below. The lock is never held across a kernel
+/// call.
 class DescTable {
  public:
   /// Generation-tagged reference to a slot. A handle taken before a record
@@ -118,6 +122,34 @@ class DescTable {
 
   /// Transition every live descriptor to s_f (server fault detected).
   void mark_all_faulty();
+
+  /// The T1 walk guard: who replays `desc`'s recovery walk. Threads
+  /// sharing the stub at cores>1 can neither both miss a walk in flight nor
+  /// both take one. Lock-free (it runs on every tracked call).
+  enum class WalkClaim {
+    kClean,    ///< Not faulty and no foreign walk in flight: use the descriptor.
+    kBusy,     ///< Another thread's walk is in flight: wait and retry.
+    kClaimed,  ///< Was faulty: `faulty` is cleared and the caller owns the walk.
+  };
+  /// With `guard` false (a test knob) a foreign walk in flight is ignored.
+  /// On kClaimed, `prev_owner` receives the displaced owner for end_walk.
+  static WalkClaim claim_walk(TrackedDesc& desc, kernel::ThreadId me, bool guard,
+                              kernel::ThreadId* prev_owner);
+  /// True when claim_walk would answer kClean (no side effects): the
+  /// every-call fast path, so it is inline.
+  static bool walk_settled(TrackedDesc& desc, kernel::ThreadId me, bool guard) {
+    std::atomic_ref<kernel::ThreadId> owner(desc.recovering);
+    auto foreign = [&](kernel::ThreadId t) { return guard && t != kernel::kNoThread && t != me; };
+    if (foreign(owner.load()) || faulty(desc)) return false;
+    return !foreign(owner.load());  // A claimer publishes itself before clearing `faulty`.
+  }
+  static void end_walk(TrackedDesc& desc, kernel::ThreadId prev_owner) {
+    std::atomic_ref<kernel::ThreadId>(desc.recovering).store(prev_owner);
+  }
+  static bool faulty(TrackedDesc& desc) { return std::atomic_ref<bool>(desc.faulty).load(); }
+  static void set_faulty(TrackedDesc& desc, bool faulty) {
+    std::atomic_ref<bool>(desc.faulty).store(faulty);
+  }
 
   std::size_t size() const {
     std::lock_guard<std::mutex> guard(mu_);

@@ -304,7 +304,7 @@ Execution Explorer::run_one(const Schedule& schedule) const {
 
   if (!out.failed && !state.correct) {
     out.failed = true;
-    out.reason = std::string("workload: ") + state.fail_reason;
+    out.reason = std::string("workload: ") + state.fail_reason.load();
   }
   if (!out.failed && !state.done()) {
     out.failed = true;

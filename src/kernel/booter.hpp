@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <unordered_map>
 #include <vector>
@@ -53,9 +54,11 @@ class Booter final : public Component {
   void do_capture(const Component& comp);
 
   std::unordered_map<CompId, Image> images_;
-  int reboots_ = 0;
+  /// Atomic: at cores>1 recovery domains reboot disjoint components on
+  /// different cores at once.
+  std::atomic<int> reboots_{0};
   int captures_ = 0;
-  std::size_t bytes_copied_ = 0;
+  std::atomic<std::size_t> bytes_copied_{0};
 };
 
 }  // namespace sg::kernel

@@ -4,6 +4,8 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
@@ -27,6 +29,29 @@ thread_local void* tls_thread = nullptr;
 
 /// Occupancy owner id for root/boot contexts (kNoThread means "free").
 constexpr ThreadId kRootOwner = -2;
+
+/// SG_PIN_CPU=1 pins every simulated thread to one host CPU: the paper's
+/// evaluation runs on a single enabled core, and one CPU removes cross-core
+/// handoff noise from wall-clock measurements. The CPU is the lowest one in
+/// the affinity mask the first simulated thread inherits from the process
+/// (the rule sgbench/run.py uses), computed once; -1 means no pinning.
+int pin_cpu() {
+  static const int cpu = [] {
+    const char* env = std::getenv("SG_PIN_CPU");
+    if (env == nullptr || env[0] != '1') return -1;
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) != 0) {
+      SG_WARN("kernel", "SG_PIN_CPU=1: cannot read the affinity mask: " << std::strerror(errno));
+      return -1;
+    }
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &mask)) return c;
+    }
+    return -1;
+  }();
+  return cpu;
+}
 
 /// Root-context register file (setup code running outside any simulated
 /// thread still satisfies RegOps' interface; flips never target it).
@@ -286,6 +311,7 @@ void Kernel::occ_release_locked(CompId comp, ThreadId me) {
     if (tp->state == ThreadState::kBlocked && tp->occ_wait == comp) make_ready_locked(*tp);
   }
   kick_idle_cores_locked();
+  root_cv_.notify_all();  // A root-context reboot seize may be waiting for the slot.
 }
 
 void Kernel::clear_fault_pending_locked(CompId comp) {
@@ -294,15 +320,15 @@ void Kernel::clear_fault_pending_locked(CompId comp) {
     if (tp->state == ThreadState::kBlocked && tp->occ_wait == comp) make_ready_locked(*tp);
   }
   kick_idle_cores_locked();
-  cv_.notify_all();  // The root-context reboot seize waits on cv_ directly.
+  root_cv_.notify_all();  // A root-context reboot seize may be waiting for the reopen.
 }
 
-void Kernel::occ_wait_acquire_locked(std::unique_lock<std::mutex>& lock, SimThread& self,
+bool Kernel::occ_wait_acquire_locked(std::unique_lock<std::mutex>& lock, SimThread& self,
                                      CompId comp) {
-  if (ncores_ == 1 || shutdown_) return;
+  if (ncores_ == 1 || shutdown_) return false;
   if (occ_free_locked(comp, self.id)) {
     occ_acquire_locked(comp, self.id);
-    return;
+    return false;
   }
   // Block like any scheduler wait: the core is released so the occupant (or
   // anyone else) can use it; occ_release_locked readies us when the slot
@@ -316,6 +342,7 @@ void Kernel::occ_wait_acquire_locked(std::unique_lock<std::mutex>& lock, SimThre
     throw;
   }
   self.occ_wait = kNoComp;
+  return true;
 }
 
 bool Kernel::any_other_core_active_locked(int core) const {
@@ -387,6 +414,9 @@ bool Kernel::dispatch_core_locked(int core, bool allow_idle_steps) {
       }
       ++running_now_;
       if (running_now_ > max_concurrent_) max_concurrent_ = running_now_;
+      // The one place a thread becomes runnable-on-a-core, so the one handoff
+      // signal: only `next` waits on its own condition variable.
+      next->wake.notify_one();
       return true;
     }
     if (!allow_idle_steps) return false;
@@ -443,7 +473,7 @@ bool Kernel::dispatch_core_locked(int core, bool allow_idle_steps) {
       }
     }
     kick_idle_cores_locked(core);
-    cv_.notify_all();
+    wake_all_locked();
   }
 }
 
@@ -500,7 +530,7 @@ void Kernel::wake_token_waiters_locked() {
     if (tp->token_wait && tp->state == ThreadState::kBlocked) make_ready_locked(*tp);
   }
   kick_idle_cores_locked();
-  cv_.notify_all();
+  root_cv_.notify_all();
 }
 
 void Kernel::machine_upgrade_locked(std::unique_lock<std::mutex>& lock, ThreadId me, CompId about,
@@ -530,7 +560,7 @@ void Kernel::machine_upgrade_locked(std::unique_lock<std::mutex>& lock, ThreadId
       }
       self->token_wait = false;
     } else {
-      cv_.wait(lock, [&] { return machine_grant_ok_locked(me) || shutdown_; });
+      root_cv_.wait(lock, [&] { return machine_grant_ok_locked(me) || shutdown_; });
       if (shutdown_ && !machine_grant_ok_locked(me)) {
         active_recoveries_.at(me).waiting_machine = false;
         return;  // Teardown: other owners may never release.
@@ -656,7 +686,7 @@ void Kernel::acquire_recovery_domain(CompId faulted, bool record_fault) {
       }
       self->token_wait = false;
     } else {
-      cv_.wait(lock);
+      root_cv_.wait(lock);
       if (shutdown_) {
         record();  // Teardown: vector the trace, claim nothing (release is tolerant).
         return;
@@ -712,7 +742,8 @@ void Kernel::acquire_recovery_token() {
       }
       self->token_wait = false;
     } else {
-      cv_.wait(lock, [&] { return (!machine_held_ && active_recoveries_.empty()) || shutdown_; });
+      root_cv_.wait(lock,
+                    [&] { return (!machine_held_ && active_recoveries_.empty()) || shutdown_; });
       if (shutdown_ && (machine_held_ || !active_recoveries_.empty())) {
         return;  // Teardown: owners may never release.
       }
@@ -850,9 +881,8 @@ void Kernel::reschedule_and_wait_locked(std::unique_lock<std::mutex>& lock, SimT
   dispatch_core_locked(core, /*allow_idle_steps=*/true);
   sched_incumbent_ = kNoThread;  // Valid for exactly one pick.
   kick_idle_cores_locked(core);
-  cv_.notify_all();
   if (self.state == ThreadState::kExited) return;
-  cv_.wait(lock, [&] { return self.state == ThreadState::kRunning && self.running_on >= 0; });
+  self.wake.wait(lock, [&] { return self.state == ThreadState::kRunning && self.running_on >= 0; });
   if (shutdown_) throw ShutdownSignal{};  // Scheduled one last time to unwind.
 }
 
@@ -860,27 +890,26 @@ void Kernel::trampoline(SimThread& t) {
   tls_self = t.id;
   tls_kernel = this;
   tls_thread = &t;
-  // The paper's evaluation runs on a single enabled core; SG_PIN_CPU=1 pins
-  // every simulated thread to one host core, which both matches that setup
-  // and removes cross-core handoff noise from wall-clock measurements.
-  static const bool pin = []() {
-    const char* env = std::getenv("SG_PIN_CPU");
-    return env != nullptr && env[0] == '1';
-  }();
-  if (pin) {
+  if (const int cpu = pin_cpu(); cpu >= 0) {
     cpu_set_t cpus;
     CPU_ZERO(&cpus);
-    CPU_SET(0, &cpus);
-    pthread_setaffinity_np(pthread_self(), sizeof(cpus), &cpus);
+    CPU_SET(cpu, &cpus);
+    if (const int err = pthread_setaffinity_np(pthread_self(), sizeof(cpus), &cpus); err != 0) {
+      static std::atomic<bool> reported{false};
+      if (!reported.exchange(true)) {
+        SG_WARN("kernel", "SG_PIN_CPU=1: pinning to CPU " << cpu
+                                                          << " failed: " << std::strerror(err));
+      }
+    }
   }
   {
     std::unique_lock<std::mutex> lock(mtx_);
-    cv_.wait(lock, [&] {
+    t.wake.wait(lock, [&] {
       return (running_ && t.state == ThreadState::kRunning && t.running_on >= 0) || shutdown_;
     });
     if (shutdown_ && !(t.state == ThreadState::kRunning && t.running_on >= 0)) {
       t.state = ThreadState::kExited;
-      cv_.notify_all();
+      root_cv_.notify_all();  // run() waits for every thread to exit.
       return;
     }
   }
@@ -919,7 +948,7 @@ void Kernel::trampoline(SimThread& t) {
     } catch (const ShutdownSignal&) {
     }
   }
-  cv_.notify_all();
+  root_cv_.notify_all();  // run() waits for every thread to exit.
 }
 
 void Kernel::record_crash(const SystemCrash& crash) {
@@ -931,7 +960,12 @@ void Kernel::record_crash(const SystemCrash& crash) {
     }
   }
   kick_idle_cores_locked();
-  cv_.notify_all();
+  wake_all_locked();
+}
+
+void Kernel::wake_all_locked() {
+  for (const auto& tp : threads_) tp->wake.notify_one();
+  root_cv_.notify_all();
 }
 
 void Kernel::run() {
@@ -942,8 +976,7 @@ void Kernel::run() {
   running_now_ = 0;
   max_concurrent_ = 0;
   for (int c = 0; c < ncores_; ++c) dispatch_core_locked(c, /*allow_idle_steps=*/c == 0);
-  cv_.notify_all();
-  cv_.wait(lock, [&] {
+  root_cv_.wait(lock, [&] {
     return std::all_of(threads_.begin(), threads_.end(),
                        [](const auto& tp) { return tp->state == ThreadState::kExited; });
   });
@@ -979,7 +1012,7 @@ void Kernel::shutdown() {
     }
   }
   kick_idle_cores_locked();
-  cv_.notify_all();
+  wake_all_locked();
 }
 
 ThreadState Kernel::thread_state(ThreadId id) const {
@@ -1259,7 +1292,7 @@ bool Kernel::wakeup(ThreadId target_id, bool recovery_wake) {
 // ---------------------------------------------------------------------------
 
 InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
-                            const Args& args) {
+                            const Args& args, int expected_epoch) {
   SG_ASSERT_MSG(cap_ok(client, server),
                 "capability fault: comp " + std::to_string(client) + " -> " +
                     std::to_string(server) + " (" + fn + ")");
@@ -1271,7 +1304,10 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
   // dead incarnation. Stable sid recycling means such a call can silently
   // alias a half-recovered object (e.g. grab a recreated lock out from under
   // the recovery walk re-acquiring it for the pre-fault owner).
-  const int entry_epoch = fault_epoch(server);
+  // At cores>1 a reboot on another core can land between the caller's
+  // translation and this entry, so callers that know the epoch they
+  // translated against pass it in.
+  const int entry_epoch = expected_epoch >= 0 ? expected_epoch : fault_epoch(server);
   // Crash-point number of this entry + 1, or 0 when no policy was consulted.
   // Stamped into the kInvokeEnter event's d slot so the explorer can map each
   // dispatched invocation back to its crash choice point and derive the
@@ -1392,8 +1428,10 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
           crash_point_stamp);
   }
   // Status values match kInvokeReturn's schema: 0=ok, 1=fault, 2=unwound.
+  // Returns true if handing occupancy back to the caller's frame had to wait.
   auto pop_frame = [&](std::int32_t status) {
     trace(trace::EventKind::kInvokeReturn, server, status);
+    bool waited = false;
     if (self != nullptr) {
       std::unique_lock<std::mutex> lock(mtx_);
       SG_ASSERT(!self->stack.empty() && self->stack.back().comp == server);
@@ -1403,19 +1441,15 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
         const CompId to = top_or_home_locked(*self);
         if (to != server) {
           occ_release_locked(server, self->id);
-          occ_wait_acquire_locked(lock, *self, to);
+          waited = occ_wait_acquire_locked(lock, *self, to);
         }
       }
     }
+    return waited;
   };
+  Value ret = 0;
   try {
-    const Value ret = srv.dispatch(ctx, fn, args);
-    pop_frame(0);
-    {
-      std::lock_guard<std::mutex> lock(mtx_);
-      ++completions_[server];
-    }
-    return {ret, false};
+    ret = srv.dispatch(ctx, fn, args);
   } catch (const ComponentFault& fault) {
     pop_frame(1);
     if (fault.comp() != server) throw;  // Inner frames handle their own comps.
@@ -1434,6 +1468,21 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
     pop_frame(2);
     throw;
   }
+  const bool waited = pop_frame(0);
+  {
+    std::lock_guard<std::mutex> lock(mtx_);
+    ++completions_[server];
+  }
+  // cores>1: the wait to re-enter the caller's component is a scheduling
+  // point, and that component may have been micro-rebooted meanwhile (the
+  // wait also covers its fault-pending closure). Unwind the now-stale caller
+  // handler as at any other scheduling point instead of letting it run on
+  // against the rebooted state: a lock take woken just before its lock
+  // component's reboot would otherwise re-acquire the recreated lock from a
+  // dead incarnation's frame, under the recovery walk that re-acquires it
+  // for the pre-fault owner, and both threads would wait forever.
+  if (waited) check_stack_epochs(*self);
+  return {ret, false};
 }
 
 InvokeResult Kernel::upcall(CompId from, CompId into, const std::string& fn, const Args& args) {
@@ -1522,7 +1571,7 @@ void Kernel::perform_micro_reboot(CompId comp_id) {
         seize_owner = self->id;
         occ_wait_acquire_locked(lock, *self, comp_id);
       } else {
-        cv_.wait(lock, [&] { return occ_free_locked(comp_id, kRootOwner) || shutdown_; });
+        root_cv_.wait(lock, [&] { return occ_free_locked(comp_id, kRootOwner) || shutdown_; });
         occ_acquire_locked(comp_id, kRootOwner);
       }
       seized = !shutdown_;

@@ -86,7 +86,7 @@ class SchedulePolicy {
 /// fault vectoring to the booter, and reflection over kernel state.
 ///
 /// Concurrency model (docs/KERNEL.md): each simulated thread is a host
-/// std::thread. With cores() == 1 (the default) a condition-variable handoff
+/// std::thread. With cores() == 1 (the default) a per-thread handoff signal
 /// guarantees exactly one simulated thread runs at any instant (single-core,
 /// like the paper's evaluation), so component state needs no locking and the
 /// schedule is deterministic. With cores() > 1 up to N simulated threads run
@@ -312,7 +312,11 @@ class Kernel {
   /// The handler runs on the calling thread (thread migration). A fail-stop
   /// ComponentFault in the server vectors to the booter (micro-reboot + epoch
   /// bump + reboot hooks) and surfaces as {0, fault=true} to the caller.
-  InvokeResult invoke(CompId client, CompId server, const std::string& fn, const Args& args);
+  /// `expected_epoch` (>= 0) is the server epoch the caller translated its
+  /// arguments against; the call is refused as a fault if the server was
+  /// micro-rebooted since. By default the epoch at entry is used.
+  InvokeResult invoke(CompId client, CompId server, const std::string& fn, const Args& args,
+                      int expected_epoch = -1);
 
   /// Upcall from a server into a client component (U0 mechanism). Mediated
   /// like invoke but flows "downhill"; faults surface the same way.
@@ -436,6 +440,10 @@ class Kernel {
     /// handoff / reboot seize); the dispatcher acquires it on our behalf.
     CompId occ_wait = kNoComp;
     bool token_wait = false;  ///< Blocked waiting for the recovery token.
+    /// The handoff signal: notified when dispatch_core_locked puts this
+    /// thread into kRunning (and when shutdown wakes everyone). Only this
+    /// thread's host waits on it, so a switch wakes one host thread.
+    std::condition_variable wake;
     std::thread host;
   };
 
@@ -498,7 +506,8 @@ class Kernel {
   /// Acquires occupancy of `comp` for `self`, blocking (scheduler wait, core
   /// released) until it is free. Caller must have released any occupancy it
   /// no longer needs first (no hold-and-wait except the reboot seize).
-  void occ_wait_acquire_locked(std::unique_lock<std::mutex>& lock, SimThread& self, CompId comp);
+  /// Returns true if it had to wait (a scheduling point).
+  bool occ_wait_acquire_locked(std::unique_lock<std::mutex>& lock, SimThread& self, CompId comp);
   /// Reopens a component closed by fault detection and readies any thread
   /// that queued on it while closed (no-op if the component wasn't closed).
   void clear_fault_pending_locked(CompId comp);
@@ -521,6 +530,9 @@ class Kernel {
   /// blocked call so the redo does not lose it.
   void check_stack_epochs_banking(SimThread& self);
   void record_crash(const SystemCrash& crash);
+  /// Wakes every thread's handoff signal and every root waiter: used where
+  /// shutdown_ turns true (shutdown, crash, deadlock declaration).
+  void wake_all_locked();
   void do_micro_reboot(Component& comp);
   /// Fault path shared by invoke() and inject_crash(): supervisor-or-direct
   /// reboot, with nested ComponentFaults escalated to SystemCrash.
@@ -560,7 +572,11 @@ class Kernel {
                   std::int64_t c, std::int64_t d);
 
   mutable std::mutex mtx_;
-  std::condition_variable cv_;
+  /// Root-context waiters only (run(), root domain/token/machine waits, the
+  /// root reboot seize); simulated threads wait on SimThread::wake. Notified
+  /// at the events those predicates read: thread exit, token-waiter wakes,
+  /// fault-pending clears, a component's final occupancy release, shutdown.
+  std::condition_variable root_cv_;
 
   std::unordered_map<CompId, Component*> components_;
   std::unordered_map<CompId, int> fault_epochs_;

@@ -16,36 +16,47 @@ void install_sched(System& sys, WorkloadState& state) {
   auto& app = sys.create_app("wl-sched");
   auto& kern = sys.kernel();
   auto sched = std::make_shared<components::SchedClient>(sys.invoker(app, "sched"));
-  auto tid_a = std::make_shared<Value>(0);
-  auto tid_b = std::make_shared<Value>(0);
-  state.keepalive.insert(state.keepalive.end(), {sched, tid_a, tid_b});
+  auto tid_a = std::make_shared<std::atomic<Value>>(0);
+  auto tid_b = std::make_shared<std::atomic<Value>>(0);
+  auto ping_last = std::make_shared<std::atomic<bool>>(false);
+  state.keepalive.insert(state.keepalive.end(), {sched, tid_a, tid_b, ping_last});
 
   // cores>1: the partner's setup may still be in flight on another core when
   // this side first needs its id (the single-runner kernel guarantees ping's
   // setup completes first by priority order). The spin is free at cores=1 --
   // the id is already set, so no extra yields and the trace is unchanged.
-  auto await_peer = [&kern, &state](Value& peer) {
+  auto await_peer = [&kern, &state](const std::atomic<Value>& peer) {
     while (peer == 0 && state.correct) kern.yield();
   };
-  state.victims.push_back(
-      kern.thd_create("ping", 10, [&kern, &app, &state, sched, tid_a, tid_b, await_peer] {
+  // Termination handshake: ping raises `ping_last` BEFORE its final wakeup,
+  // and pong stops on that flag. Testing `iterations` instead lost a wakeup
+  // at cores>1: pong runs in parallel with ping, could read the count before
+  // ping's post-wakeup increment, consume ping's final wakeup in its next
+  // blk, test again before the increment landed, and block with no wakeup
+  // ever coming (a kDeadlock naming only pong). Every blk of pong is now
+  // followed by a wakeup from ping, the last of them ordered after the flag.
+  // At cores=1 pong only tests while ping is blocked (flag and count both
+  // unset) or exited (both set), so the schedule is unchanged.
+  state.victims.push_back(kern.thd_create(
+      "ping", 10, [&kern, &app, &state, sched, tid_a, tid_b, ping_last, await_peer] {
         *tid_a = sched->setup(app.id(), 10);
         if (*tid_a < 0) state.fail("sched setup A");
         for (;;) {
           sched->blk(app.id(), *tid_a);
           await_peer(*tid_b);
+          if (state.iterations + 1 >= state.target_iterations) *ping_last = true;
           sched->wakeup(app.id(), *tid_b);
           if (++state.iterations >= state.target_iterations) break;
         }
       }));
-  state.victims.push_back(
-      kern.thd_create("pong", 11, [&kern, &app, &state, sched, tid_a, tid_b, await_peer] {
+  state.victims.push_back(kern.thd_create(
+      "pong", 11, [&kern, &app, &state, sched, tid_a, tid_b, ping_last, await_peer] {
         *tid_b = sched->setup(app.id(), 11);
         if (*tid_b < 0) state.fail("sched setup B");
         for (;;) {
           await_peer(*tid_a);
           sched->wakeup(app.id(), *tid_a);
-          if (state.done()) break;
+          if (*ping_last) break;
           sched->blk(app.id(), *tid_b);
         }
       }));
@@ -114,8 +125,8 @@ void install_lock(System& sys, WorkloadState& state) {
   auto& app = sys.create_app("wl-lock");
   auto& kern = sys.kernel();
   auto lock = std::make_shared<components::LockClient>(sys.invoker(app, "lock"), sys.kernel());
-  auto lock_id = std::make_shared<Value>(0);
-  auto in_critical = std::make_shared<int>(0);
+  auto lock_id = std::make_shared<std::atomic<Value>>(0);
+  auto in_critical = std::make_shared<std::atomic<int>>(0);
   state.keepalive.insert(state.keepalive.end(), {lock, lock_id, in_critical});
 
   auto critical_section = [&kern, &state, in_critical] {
@@ -159,7 +170,7 @@ void install_evt(System& sys, WorkloadState& state) {
   auto& waiter_comp = sys.create_app("wl-evt-w");
   auto& trigger_comp = sys.create_app("wl-evt-t");
   auto& kern = sys.kernel();
-  auto evtid = std::make_shared<Value>(0);
+  auto evtid = std::make_shared<std::atomic<Value>>(0);
   state.keepalive.push_back(evtid);
 
   state.victims.push_back(kern.thd_create("waiter", 10, [&sys, &waiter_comp, &state, evtid] {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,20 +13,24 @@ namespace sg::swifi {
 /// campaign driver. The workload bumps `iterations` once per completed,
 /// *verified* iteration and clears `correct` on any semantic violation
 /// (wrong data read back, lock safety breach, lost event...).
+///
+/// `iterations`, `correct` and `fail_reason` are atomics: at cores>1 the
+/// workload threads (and the SWIFI context) read and write them from
+/// different host threads at once.
 struct WorkloadState {
   int target_iterations = 400;
-  int iterations = 0;
-  bool correct = true;
+  std::atomic<int> iterations{0};
+  std::atomic<bool> correct{true};
   /// Thread ids running inside the target component (SWIFI victims).
   std::vector<kernel::ThreadId> victims;
   /// Objects shared between workload threads; owned here so they outlive
   /// every thread (the kernel joins all threads before run() returns).
   std::vector<std::shared_ptr<void>> keepalive;
 
-  const char* fail_reason = "";
+  std::atomic<const char*> fail_reason{""};
   void fail(const char* reason) {
-    correct = false;
     fail_reason = reason;
+    correct = false;
   }
   bool done() const { return iterations >= target_iterations; }
 };

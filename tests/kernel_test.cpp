@@ -1,3 +1,8 @@
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "components/system.hpp"
@@ -205,6 +210,85 @@ TEST(KernelTest, ShutdownUnwindsAllThreads) {
   kern.thd_create("controller", 10, [&] { kern.shutdown(); });
   kern.run();  // Must terminate; blocked thread unwinds without running on.
   EXPECT_EQ(progressed, 0);
+}
+
+// --- handoff edges: every wakeup the per-thread handoff must not lose ------
+
+// A crash recorded while the other threads still sit in their start-up wait
+// (never dispatched): the shutdown must wake them, run() must rethrow, and
+// every host thread must be joined.
+TEST(KernelHandoffTest, CrashDuringStartupWakesParkedThreads) {
+  for (const int cores : {1, 4}) {
+    kernel::Kernel kern;
+    kern.set_cores(cores);
+    std::vector<kernel::ThreadId> parked;
+    for (int t = 0; t < 8; ++t) {
+      parked.push_back(kern.thd_create("parked" + std::to_string(t), 50, [&] { kern.yield(); }));
+    }
+    kern.thd_create("crasher", 1, [] {
+      throw kernel::SystemCrash(kernel::CrashKind::kHang, kernel::kNoComp, "crash at start-up");
+    });
+    EXPECT_THROW(kern.run(), kernel::SystemCrash) << "cores=" << cores;
+    for (const kernel::ThreadId thd : parked) {
+      EXPECT_EQ(kern.thread_state(thd), kernel::ThreadState::kExited) << "cores=" << cores;
+    }
+  }
+}
+
+// shutdown() from a root (non-simulated) host thread while one thread is
+// blocked and another timed-blocked: both must unwind without running on.
+TEST(KernelHandoffTest, RootShutdownUnwindsBlockedAndTimedBlockedThreads) {
+  for (const int cores : {1, 2}) {
+    kernel::Kernel kern;
+    kern.set_cores(cores);
+    std::atomic<int> progressed{0};
+    const kernel::ThreadId sleeper = kern.thd_create("sleeper", 5, [&] {
+      kern.block_current();
+      ++progressed;
+    });
+    const kernel::ThreadId napper = kern.thd_create("napper", 5, [&] {
+      kern.block_current_until(kern.now() + 1'000'000'000);
+      ++progressed;
+    });
+    // Keeps the machine busy so neither the idle clock jump nor the
+    // deadlock detector ends the blocks first; unwinds at shutdown.
+    kern.thd_create("spinner", 10, [&] {
+      for (;;) kern.yield();
+    });
+    std::thread root([&] {
+      while (kern.thread_state(sleeper) != kernel::ThreadState::kBlocked ||
+             kern.thread_state(napper) != kernel::ThreadState::kTimedBlocked) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      kern.shutdown();
+    });
+    kern.run();
+    root.join();
+    EXPECT_EQ(progressed.load(), 0) << "cores=" << cores;
+  }
+}
+
+// A 16-thread yield ring at cores=1: the handoff keeps exact FIFO order
+// within a priority level, and every thread runs every round.
+TEST(KernelHandoffTest, SixteenThreadYieldRingKeepsFifoOrder) {
+  constexpr int kThreads = 16;
+  constexpr int kRounds = 50;
+  kernel::Kernel kern;
+  std::vector<int> order;
+  for (int t = 0; t < kThreads; ++t) {
+    kern.thd_create("ring" + std::to_string(t), 10, [&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        order.push_back(t);
+        kern.yield();
+      }
+    });
+  }
+  kern.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kThreads * kRounds));
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    ASSERT_EQ(order[i], static_cast<int>(i % kThreads)) << "position " << i;
+  }
+  EXPECT_EQ(kern.max_concurrent_running(), 1);
 }
 
 }  // namespace

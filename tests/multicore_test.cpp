@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,7 +56,31 @@ class BurnComponent final : public kernel::Component {
 
 // --- configuration ---------------------------------------------------------
 
+// Saves SG_CORES on construction and restores it (or its absence) on
+// destruction, so the config tests neither read nor leak the ambient value
+// (the four-core CI step runs this binary with SG_CORES=4).
+class ScopedCoresEnv {
+ public:
+  ScopedCoresEnv() {
+    if (const char* v = std::getenv("SG_CORES")) saved_ = v;
+  }
+  ~ScopedCoresEnv() {
+    if (saved_) {
+      ::setenv("SG_CORES", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("SG_CORES");
+    }
+  }
+  ScopedCoresEnv(const ScopedCoresEnv&) = delete;
+  ScopedCoresEnv& operator=(const ScopedCoresEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
 TEST(MultiCoreConfigTest, DefaultIsSingleRunner) {
+  const ScopedCoresEnv env;
+  ::unsetenv("SG_CORES");
   kernel::Kernel kern;
   EXPECT_EQ(kern.cores(), 1);
   components::SystemConfig config;
@@ -62,6 +88,7 @@ TEST(MultiCoreConfigTest, DefaultIsSingleRunner) {
 }
 
 TEST(MultiCoreConfigTest, EnvCoresKnobParsesAndClamps) {
+  const ScopedCoresEnv env;
   ::setenv("SG_CORES", "4", 1);
   EXPECT_EQ(components::SystemConfig::env_cores(), 4);
   ::setenv("SG_CORES", "0", 1);
@@ -336,7 +363,7 @@ TEST(MultiCoreRecoveryTest, RecoveryWakeCrossesCores) {
     }
   });
   kern.run();
-  EXPECT_TRUE(evt_state.correct) << evt_state.fail_reason;
+  EXPECT_TRUE(evt_state.correct) << evt_state.fail_reason.load();
   // Trigger delivery is at-least-once across faults (a crash between the
   // G1 store and the client-observed return redoes the trigger), so each of
   // the 4 shots may duplicate at most one in-flight trigger. A count below
@@ -374,6 +401,87 @@ TEST(MultiCoreRecoveryTest, QuarantineFromAnotherCoreUnblocksWaiters) {
   kern.run();
   EXPECT_TRUE(unblocked);
   EXPECT_TRUE(kern.is_quarantined(trap.id()));
+}
+
+// --- root-context waiters: woken by the events their predicates read -------
+
+// A component whose handler holds its occupancy (no kernel call inside) until
+// the test lets go.
+class GateComponent final : public kernel::Component {
+ public:
+  explicit GateComponent(kernel::Kernel& kernel) : Component(kernel, "gate") {
+    export_fn("hold", [this](CallCtx&, const Args&) -> Value {
+      inside_ = true;
+      while (!open_) std::this_thread::yield();
+      return kernel::kOk;
+    });
+  }
+  void reset_state() override {}
+  std::atomic<bool> inside_{false};
+  std::atomic<bool> open_{false};
+};
+
+// A root-context inject_crash at cores=2 whose reboot seize must wait for a
+// running occupant to leave: the occupant's final occupancy release has to
+// wake the root waiter (the occupant does not exit until the reboot is done).
+TEST(MultiCoreRootWaitTest, RootRebootSeizeWaitsForRunningOccupant) {
+  kernel::Kernel kern;
+  kern.set_cores(2);
+  GateComponent gate(kern);
+  std::atomic<bool> rebooted{false};
+  kern.thd_create("occupant", 10, [&] {
+    kern.invoke(kernel::kNoComp, gate.id(), "hold", {});
+    while (!rebooted) kern.yield();
+  });
+  std::thread root([&] {
+    while (!gate.inside_) std::this_thread::yield();
+    std::thread injector([&] {
+      kern.inject_crash(gate.id());
+      rebooted = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(rebooted) << "the seize did not wait for the running occupant";
+    gate.open_ = true;
+    injector.join();
+  });
+  kern.run();
+  root.join();
+  EXPECT_EQ(kern.total_reboots(), 1);
+  EXPECT_EQ(kern.fault_epoch(gate.id()), 1);
+}
+
+// A root-context recovery-domain acquire that overlaps a simulated thread's
+// domain waits for its release: the release must wake the root waiter (the
+// thread does not exit until the root has the domain).
+TEST(MultiCoreRootWaitTest, RootDomainAcquireWaitsForThreadRelease) {
+  kernel::Kernel kern;
+  kern.set_cores(2);
+  BurnComponent comp(kern, "comp");
+  std::atomic<bool> held{false};
+  std::atomic<bool> release_now{false};
+  std::atomic<bool> root_got{false};
+  kern.thd_create("recoverer", 10, [&] {
+    kern.acquire_recovery_domain(comp.id());
+    held = true;
+    while (!release_now) kern.yield();
+    kern.release_recovery_domain();
+    while (!root_got) kern.yield();
+  });
+  std::thread root([&] {
+    while (!held) std::this_thread::yield();
+    std::thread acquirer([&] {
+      kern.acquire_recovery_domain(comp.id());
+      root_got = true;
+      kern.release_recovery_domain();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(root_got) << "the root acquired a domain the thread still held";
+    release_now = true;
+    acquirer.join();
+  });
+  kern.run();
+  root.join();
+  EXPECT_TRUE(root_got);
 }
 
 // --- fail-stop SWIFI at cores=4 --------------------------------------------
