@@ -46,6 +46,19 @@ void BM_Invocation(benchmark::State& state) {
 }
 BENCHMARK(BM_Invocation);
 
+/// BM_Invocation through the by-name entry (Invoker::call): the cold wrapper
+/// resolves the name on every call before the index dispatch.
+void BM_InvocationByName(benchmark::State& state) {
+  run_in_system(state, FtMode::kNone, [](benchmark::State& st, System& sys, auto& app) {
+    c3::Invoker& mman = sys.invoker(app, "mman");
+    components::MmClient mm(mman);
+    const Value root = mm.get_page(app.id(), 0x100000);
+    const std::string touch = "mman_touch";
+    for (auto _ : st) benchmark::DoNotOptimize(mman.call(touch, {app.id(), root}));
+  });
+}
+BENCHMARK(BM_InvocationByName);
+
 void BM_TrackedInvocation(benchmark::State& state) {
   run_in_system(state, FtMode::kSuperGlue, [](benchmark::State& st, System& sys, auto& app) {
     components::MmClient mm(sys.invoker(app, "mman"));

@@ -42,16 +42,37 @@ ClientStub::ClientStub(kernel::Kernel& kernel, kernel::Component& client, kernel
   }
   if (storage_ != nullptr) storage_ns_ = storage_->intern_ns(spec_.service);
   last_epoch_ = kernel_.fault_epoch(server_);
+  const kernel::Component& srv = kernel_.component(server_);
+  for (std::size_t fn = 0; fn < rt_.fn_count(); ++fn) {
+    server_fns_.push_back(srv.resolve(rt_.fn(static_cast<FnId>(fn)).decl->name));
+  }
   // U0: export the recreation upcall on the client so server stubs (G0) and
   // dependent services (XCParent) can rebuild descriptors this client created.
   const std::string upcall = recreate_fn_name(spec_.service);
   if (!client_.exports(upcall)) {
     client_.export_fn(upcall, [this](CallCtx&, const Args& args) -> Value {
       SG_ASSERT(args.size() == 1);
-      ++stats_.upcall_recreates;
+      bump(stats_.upcall_recreates);
       return recreate_by_vid(args[0]);
     });
   }
+}
+
+StubStats ClientStub::stats() const {
+  auto get = [](const std::atomic<std::uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  StubStats snapshot;
+  snapshot.calls = get(stats_.calls);
+  snapshot.tracked_creates = get(stats_.tracked_creates);
+  snapshot.transitions = get(stats_.transitions);
+  snapshot.redos = get(stats_.redos);
+  snapshot.recoveries = get(stats_.recoveries);
+  snapshot.walk_fns = get(stats_.walk_fns);
+  snapshot.invalid_transitions = get(stats_.invalid_transitions);
+  snapshot.upcall_recreates = get(stats_.upcall_recreates);
+  snapshot.deferred_commits = get(stats_.deferred_commits);
+  return snapshot;
 }
 
 Value ClientStub::call(const std::string& fn_name, const Args& args) {
@@ -66,14 +87,23 @@ FnId ClientStub::resolve(const std::string& fn) {
 
 Value ClientStub::call_id(FnId fn_id, const Args& args) {
   const CompiledFn& fn = rt_.fn(fn_id);
-  ++stats_.calls;
+  bump(stats_.calls);
 
   // A server micro-rebooted on behalf of *another* client leaves no fault
   // flag for us — detect it by epoch before touching descriptors.
   if (kernel_.fault_epoch(server_) != last_epoch_) fault_update();
 
   for (int redo = 0; redo < kMaxRedos; ++redo) {
-    Args wire = args;
+    // The arguments as sent: `args` itself unless a tracked id maps to a
+    // different server id, so the common call copies nothing.
+    Args translated;
+    const Args* wire = &args;
+    auto translate = [&](int idx, Value sid) {
+      const auto i = static_cast<std::size_t>(idx);
+      if (args[i] == sid) return;
+      if (wire == &args) wire = &(translated = args);
+      translated[i] = sid;
+    };
     TrackedDesc* desc = nullptr;
     TrackedDesc* parent = nullptr;
 
@@ -87,7 +117,7 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
         if (fn.is_terminal() && spec_.desc_close_children) {
           recover_subtree(*desc);  // D0.
         }
-        wire[static_cast<std::size_t>(fn.desc_idx)] = desc->sid();
+        translate(fn.desc_idx, desc->sid());
         // SM-based fault detection: reject invalid transition attempts.
         // Blocking fns are exempt: a second thread may legally contend while
         // the descriptor sits in a held state (completion order, not
@@ -98,7 +128,7 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
         // completion and return), legitimately moving σ past the transition.
         // The server's own handler decides whether the duplicate is benign.
         if (redo == 0 && !fn.is_block() && !rt_.valid(desc->state, fn_id)) {
-          ++stats_.invalid_transitions;
+          bump(stats_.invalid_transitions);
           SG_DEBUG("stub", spec_.service << "." << fn.decl->name << " invalid from state "
                                          << spec_.sm.state_name(desc->state));
           return kernel::kErrInval;
@@ -111,7 +141,7 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
       parent = table_.find(args[static_cast<std::size_t>(fn.parent_idx)]);
       if (parent != nullptr) {
         ensure_recovered(*parent);
-        wire[static_cast<std::size_t>(fn.parent_idx)] = parent->sid();
+        translate(fn.parent_idx, parent->sid());
       }
     }
 
@@ -131,7 +161,7 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
       const bool guard = !test_knobs.disable_walk_guard;
       if ((desc != nullptr && !DescTable::walk_settled(*desc, me, guard)) ||
           (parent != nullptr && !DescTable::walk_settled(*parent, me, guard))) {
-        ++stats_.redos;
+        bump(stats_.redos);
         continue;
       }
     }
@@ -143,10 +173,10 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
     // stale EINVAL look legitimate below.
     const int wire_epoch = kernel_.fault_epoch(server_);
     const std::uint64_t pre_seq = desc != nullptr ? desc->commit_seq : 0;
-    const kernel::InvokeResult res =
-        kernel_.invoke(client_.id(), server_, fn.decl->name, wire, translated_epoch);
+    const kernel::InvokeResult res = kernel_.invoke(client_.id(), server_, server_fn(fn_id), *wire,
+                                                    translated_epoch);
     if (res.fault) {
-      ++stats_.redos;
+      bump(stats_.redos);
       fault_update();
       continue;  // goto redo (Fig 4).
     }
@@ -168,7 +198,7 @@ Value ClientStub::call_id(FnId fn_id, const Args& args) {
         (kernel_.fault_epoch(server_) != wire_epoch ||
          (desc != nullptr && !test_knobs.disable_epoch_redo_check &&
           kernel_.fault_epoch(server_) != last_epoch_))) {
-      ++stats_.redos;
+      bump(stats_.redos);
       if (kernel_.fault_epoch(server_) != last_epoch_) fault_update();
       continue;
     }
@@ -236,7 +266,7 @@ void ClientStub::ensure_recovered(TrackedDesc& desc, int depth) {
   for (int attempt = 0; attempt < kMaxRecoveryAttempts; ++attempt) {
     try {
       recover_once(desc, depth);
-      ++stats_.recoveries;
+      bump(stats_.recoveries);
       return;
     } catch (const RecoveryFaulted&) {
       // The server faulted *while we were recovering it*; every descriptor
@@ -285,7 +315,7 @@ void ClientStub::recover_once(TrackedDesc& desc, int depth) {
   // sm_restore fns re-establish tracked descriptor data (e.g., tlseek).
   for (const FnId restore_fn : rt_.restore_fns()) {
     recovery_invoke(restore_fn, build_replay_args(rt_.fn(restore_fn), desc));
-    ++stats_.walk_fns;
+    bump(stats_.walk_fns);
   }
 
   // R0: the precomputed shortest walk from s0 to the expected state.
@@ -294,7 +324,7 @@ void ClientStub::recover_once(TrackedDesc& desc, int depth) {
     const StateId next = rt_.fn(walk_fn).next_state;
     kernel_.trace(trace::EventKind::kWalkStep, server_, cur, next, desc.vid, walk_fn);
     recovery_invoke(walk_fn, build_replay_args(rt_.fn(walk_fn), desc));
-    ++stats_.walk_fns;
+    bump(stats_.walk_fns);
     cur = next;
   }
   desc.state = rt_.walk_land(expected);
@@ -344,8 +374,7 @@ Args ClientStub::build_replay_args(const CompiledFn& fn, const TrackedDesc& desc
 }
 
 Value ClientStub::recovery_invoke(FnId fn, const Args& args) {
-  const kernel::InvokeResult res =
-      kernel_.invoke(client_.id(), server_, rt_.fn(fn).decl->name, args);
+  const kernel::InvokeResult res = kernel_.invoke(client_.id(), server_, server_fn(fn), args);
   if (res.fault) throw RecoveryFaulted{};
   return res.ret;
 }
@@ -376,7 +405,7 @@ void ClientStub::track_result(FnId fn_id, const CompiledFn& fn, const Args& args
                               std::uint64_t pre_seq) {
   if (fn.is_creation()) {
     if (ret < 0) return;  // Failed creation: nothing to track.
-    ++stats_.tracked_creates;
+    bump(stats_.tracked_creates);
     TrackedDesc& desc = table_.create(ret, ret, kStateInitial, args);
     desc.created_by = fn_id;
     for (std::size_t i = 0; i < fn.param_fields.size(); ++i) {
@@ -423,14 +452,14 @@ void ClientStub::track_result(FnId fn_id, const CompiledFn& fn, const Args& args
   // or the SM would record a held lock as free and reject the owner's next
   // call. Blocking fns always commit: being woken orders them last.
   if (!fn.is_block() && desc->commit_seq != pre_seq) {
-    ++stats_.deferred_commits;
+    bump(stats_.deferred_commits);
     SG_DEBUG("stub", spec_.service << "." << fn.decl->name
                                    << " commit deferred to racing completion on vid "
                                    << desc->vid);
     return;
   }
   ++desc->commit_seq;
-  ++stats_.transitions;
+  bump(stats_.transitions);
   kernel_.trace(trace::EventKind::kDescSigma, server_, desc->state, fn.next_state, desc->vid,
                 fn_id);
   desc->state = fn.next_state;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "c3/desc_track.hpp"
 #include "c3/interface_spec.hpp"
@@ -13,7 +14,8 @@
 
 namespace sg::c3 {
 
-/// Counters exposed for the micro-benchmarks (Fig 6) and tests.
+/// Counters exposed for the micro-benchmarks (Fig 6) and tests: a snapshot
+/// of a stub's live counters (ClientStub::stats).
 struct StubStats {
   std::uint64_t calls = 0;
   std::uint64_t tracked_creates = 0;
@@ -79,7 +81,7 @@ class ClientStub final : public Invoker {
   const InterfaceSpec& spec() const { return spec_; }
   DescTable& table() { return table_; }
   const DescTable& table() const { return table_; }
-  const StubStats& stats() const { return stats_; }
+  StubStats stats() const;
   kernel::CompId client_id() const { return client_.id(); }
   kernel::CompId server_id() const { return server_; }
 
@@ -121,6 +123,9 @@ class ClientStub final : public Invoker {
   /// Direct invocation used by recovery paths (no re-entrant tracking).
   kernel::Value recovery_invoke(FnId fn, const kernel::Args& args);
 
+  /// The server's handler index for compiled fn `fn` (resolved at ctor).
+  kernel::FnIndex server_fn(FnId fn) const { return server_fns_[static_cast<std::size_t>(fn)]; }
+
   /// `pre_seq` is the descriptor's commit_seq sampled just before the
   /// invocation went on the wire (0 when no descriptor was tracked).
   void track_result(FnId fn_id, const CompiledFn& fn, const kernel::Args& args,
@@ -141,7 +146,25 @@ class ClientStub final : public Invoker {
   /// The server epoch whose fault this stub has absorbed. Atomic: threads
   /// sharing the stub read it concurrently at cores>1 (see fault_update).
   std::atomic<int> last_epoch_{0};
-  StubStats stats_;
+  std::vector<kernel::FnIndex> server_fns_;  ///< Indexed by compiled fn id.
+
+  /// The live StubStats counters. Relaxed atomics: threads sharing this stub
+  /// at cores>1 bump them concurrently, and only the totals matter.
+  struct Counters {
+    std::atomic<std::uint64_t> calls{0};
+    std::atomic<std::uint64_t> tracked_creates{0};
+    std::atomic<std::uint64_t> transitions{0};
+    std::atomic<std::uint64_t> redos{0};
+    std::atomic<std::uint64_t> recoveries{0};
+    std::atomic<std::uint64_t> walk_fns{0};
+    std::atomic<std::uint64_t> invalid_transitions{0};
+    std::atomic<std::uint64_t> upcall_recreates{0};
+    std::atomic<std::uint64_t> deferred_commits{0};
+  };
+  static void bump(std::atomic<std::uint64_t>& counter) {
+    counter.fetch_add(1, std::memory_order_relaxed);
+  }
+  Counters stats_;
 };
 
 }  // namespace sg::c3

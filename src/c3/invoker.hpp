@@ -17,47 +17,43 @@ namespace sg::c3 {
 /// Callers resolve each function name once (`resolve`) and invoke by the
 /// returned dense id (`call_id`) from then on, keeping string hashing off
 /// the per-invocation path. The string `call` remains as a compatibility
-/// entry point; the base-class defaults below let an implementation override
-/// only `call` and still serve id-based callers.
+/// entry point.
 class Invoker {
  public:
   virtual ~Invoker() = default;
   virtual kernel::Value call(const std::string& fn, const kernel::Args& args) = 0;
 
-  /// Interns `fn` into this invoker's id space. The default keeps a private
-  /// name table so call_id can forward to the string path; stub
-  /// implementations override this with their compiled interface ids.
-  virtual FnId resolve(const std::string& fn) {
-    for (std::size_t i = 0; i < resolved_names_.size(); ++i) {
-      if (resolved_names_[i] == fn) return static_cast<FnId>(i);
-    }
-    resolved_names_.push_back(fn);
-    return static_cast<FnId>(resolved_names_.size() - 1);
-  }
+  /// Interns `fn` into this invoker's id space.
+  virtual FnId resolve(const std::string& fn) = 0;
 
   /// Invokes by interned id. `id` must come from this invoker's resolve().
-  virtual kernel::Value call_id(FnId id, const kernel::Args& args) {
-    return call(resolved_names_[static_cast<std::size_t>(id)], args);
-  }
-
- private:
-  std::vector<std::string> resolved_names_;
+  virtual kernel::Value call_id(FnId id, const kernel::Args& args) = 0;
 };
 
 /// Direct kernel invocation with no tracking and no recovery. A server fault
 /// surfaces as a plain error return (the system would normally have to
-/// reboot); used as the "COMPOSITE without C3/SuperGlue" baseline.
+/// reboot); used as the "COMPOSITE without C3/SuperGlue" baseline. Its ids
+/// are the server's handler indices, so call_id dispatches by index.
 class PassthroughInvoker final : public Invoker {
  public:
   PassthroughInvoker(kernel::Kernel& kernel, kernel::CompId client, kernel::CompId server)
       : kernel_(kernel), client_(client), server_(server) {}
 
   kernel::Value call(const std::string& fn, const kernel::Args& args) override {
-    const kernel::InvokeResult res = kernel_.invoke(client_, server_, fn, args);
-    return res.fault ? kernel::kErrAgain : res.ret;
+    return result(kernel_.invoke(client_, server_, fn, args));
+  }
+
+  FnId resolve(const std::string& fn) override { return kernel_.component(server_).resolve(fn); }
+
+  kernel::Value call_id(FnId id, const kernel::Args& args) override {
+    return result(kernel_.invoke(client_, server_, static_cast<kernel::FnIndex>(id), args));
   }
 
  private:
+  static kernel::Value result(const kernel::InvokeResult& res) {
+    return res.fault ? kernel::kErrAgain : res.ret;
+  }
+
   kernel::Kernel& kernel_;
   kernel::CompId client_;
   kernel::CompId server_;

@@ -18,6 +18,7 @@ ServerStub::ServerStub(kernel::Kernel& kernel, kernel::Component& server,
   SG_ASSERT_MSG(spec_.desc_is_global || spec_.parent == ParentKind::kXCParent,
                 spec_.service + ": server stub only wraps G0/XCParent interfaces");
   ns_ = storage_.intern_ns(spec_.service);
+  recreate_fn_ = ClientStub::recreate_fn_name(spec_.service);
   for (const auto& fn : spec_.fns) {
     // A missing descriptor can surface through the desc param or — for
     // XCParent creation fns like mman_alias_page — the parent param.
@@ -45,8 +46,7 @@ ServerStub::ServerStub(kernel::Kernel& kernel, kernel::Component& server,
         record_found = true;
         SG_DEBUG("sstub", spec_.service << "." << fn_name << ": G0 recreate of desc " << desc_id
                                         << " via comp " << record->creator);
-        const auto up = kernel_.upcall(server_.id(), record->creator,
-                                       ClientStub::recreate_fn_name(spec_.service), {desc_id});
+        const auto up = recreate_upcall(record->creator, desc_id);
         if (!up.fault && up.ret == kernel::kOk) recreated = true;
       }
       if (!recreated) {
@@ -65,6 +65,14 @@ ServerStub::ServerStub(kernel::Kernel& kernel, kernel::Component& server,
       return inner(ctx, args);  // Replay with the descriptor(s) rebuilt.
     });
   }
+}
+
+kernel::InvokeResult ServerStub::recreate_upcall(kernel::CompId creator, Value desc_id) {
+  auto it = recreate_fns_.find(creator);
+  if (it == recreate_fns_.end()) {
+    it = recreate_fns_.emplace(creator, kernel_.component(creator).resolve(recreate_fn_)).first;
+  }
+  return kernel_.upcall(server_.id(), creator, it->second, {desc_id});
 }
 
 }  // namespace sg::c3

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <unordered_map>
 
 #include "c3/interface_spec.hpp"
 #include "c3/storage.hpp"
@@ -38,11 +40,19 @@ class ServerStub {
   void set_degraded_hook(DegradedHook hook) { degraded_hook_ = std::move(hook); }
 
  private:
+  /// U0: upcalls the creator's recreation function for `desc_id`, by the
+  /// handler index cached per creator component.
+  kernel::InvokeResult recreate_upcall(kernel::CompId creator, kernel::Value desc_id);
+
   kernel::Kernel& kernel_;
   kernel::Component& server_;
   const InterfaceSpec& spec_;
   StorageComponent& storage_;
   NsId ns_ = kNoNs;  ///< Interned storage namespace for the service.
+  std::string recreate_fn_;  ///< The creators' U0 upcall name.
+  /// Creator component -> its recreate_fn_ handler index. Touched only from
+  /// handlers of the wrapped server, which occupancy serializes at cores>1.
+  std::unordered_map<kernel::CompId, kernel::FnIndex> recreate_fns_;
   std::uint64_t g0_recoveries_ = 0;
   std::uint64_t g0_misses_ = 0;
   std::uint64_t degraded_misses_ = 0;

@@ -19,14 +19,17 @@ namespace sg::c3stubs {
 ///
 /// Each stub declares its interface functions once (in ctor order); the
 /// resulting table indices are the stub's FnIds, so the hot entry point is
-/// `call_id` with a switch on a dense enum. The string `call` entry is a
-/// compatibility shim: one table scan to resolve, then the id path.
+/// `call_id` with a switch on a dense enum. The table holds the server's
+/// handler indices, resolved at construction, so an invocation dispatches
+/// by index. The string `call` entry is a compatibility shim: one name
+/// lookup to resolve, then the id path.
 class C3StubBase : public c3::Invoker {
  public:
   /// Interns `fn` into this stub's fixed fn table (ids == table indices).
   c3::FnId resolve(const std::string& fn) override {
-    for (std::size_t i = 0; i < fn_names_.size(); ++i) {
-      if (fn_names_[i] == fn) return static_cast<c3::FnId>(i);
+    const kernel::FnIndex index = kernel_.component(server_).resolve(fn);
+    for (std::size_t i = 0; i < fns_.size(); ++i) {
+      if (fns_[i] == index) return static_cast<c3::FnId>(i);
     }
     SG_ASSERT_MSG(false, "c3 stub: unknown fn " + fn);
     __builtin_unreachable();
@@ -42,8 +45,10 @@ class C3StubBase : public c3::Invoker {
 
  protected:
   C3StubBase(kernel::Kernel& kernel, kernel::Component& client, kernel::CompId server,
-             std::vector<std::string> fn_names)
-      : kernel_(kernel), client_(client), server_(server), fn_names_(std::move(fn_names)) {
+             const std::vector<std::string>& fn_names)
+      : kernel_(kernel), client_(client), server_(server) {
+    const kernel::Component& srv = kernel_.component(server_);
+    for (const std::string& name : fn_names) fns_.push_back(srv.resolve(name));
     epoch_ = kernel_.fault_epoch(server_);
   }
 
@@ -53,11 +58,11 @@ class C3StubBase : public c3::Invoker {
   void epoch_sync() { epoch_ = kernel_.fault_epoch(server_); }
 
   const std::string& fn_name(c3::FnId fn) const {
-    return fn_names_[static_cast<std::size_t>(fn)];
+    return kernel_.component(server_).fn_name(fns_[static_cast<std::size_t>(fn)]);
   }
 
   kernel::InvokeResult invoke_id(c3::FnId fn, const kernel::Args& args) {
-    return kernel_.invoke(client_.id(), server_, fn_name(fn), args);
+    return kernel_.invoke(client_.id(), server_, fns_[static_cast<std::size_t>(fn)], args);
   }
 
   /// Erroneous-return-value awareness (§III-C): an EINVAL for a descriptor
@@ -80,7 +85,7 @@ class C3StubBase : public c3::Invoker {
   kernel::Kernel& kernel_;
   kernel::Component& client_;
   kernel::CompId server_;
-  std::vector<std::string> fn_names_;
+  std::vector<kernel::FnIndex> fns_;  ///< Server handler index per stub FnId.
   int epoch_ = 0;
 };
 

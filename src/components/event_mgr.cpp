@@ -16,6 +16,8 @@ EventMgrComponent::EventMgrComponent(kernel::Kernel& kernel, kernel::CompId sche
                                      std::uint64_t seed)
     : Component(kernel, "evt", /*image_bytes=*/24 * 1024),
       sched_(sched),
+      sched_block_(kernel.component(sched).resolve("sched_block_raw")),
+      sched_wakeup_(kernel.component(sched).resolve("sched_wakeup_raw")),
       storage_(storage),
       profile_(profile),
       rng_(seed) {
@@ -83,7 +85,7 @@ Value EventMgrComponent::wait(CallCtx& ctx, const Args& args) {
       return delivered;
     }
     event.waiter = ctx.thd;
-    sys_invoke(kernel_, id(), sched_, "sched_block_raw", {ctx.thd});
+    sys_invoke(kernel_, id(), sched_, sched_block_, {ctx.thd});
   }
 }
 
@@ -100,7 +102,7 @@ Value EventMgrComponent::trigger(CallCtx& ctx, const Args& args) {
   if (event.waiter != kernel::kNoThread) {
     const kernel::ThreadId waiter = event.waiter;
     event.waiter = kernel::kNoThread;
-    sys_invoke(kernel_, id(), sched_, "sched_wakeup_raw", {waiter});
+    sys_invoke(kernel_, id(), sched_, sched_wakeup_, {waiter});
   }
   return kernel::kOk;
 }
@@ -117,7 +119,7 @@ Value EventMgrComponent::free_fn(CallCtx& ctx, const Args& args) {
   events_.erase(it);
   storage_.erase_data("evt", args[1]);
   if (waiter != kernel::kNoThread) {
-    sys_invoke(kernel_, id(), sched_, "sched_wakeup_raw", {waiter});
+    sys_invoke(kernel_, id(), sched_, sched_wakeup_, {waiter});
   }
   return kernel::kOk;
 }

@@ -59,6 +59,9 @@ class EventMgrComponent final : public kernel::Component {
   int storage_epoch_ = 0;  ///< Storage fault epoch last synced to.
   std::uint64_t storage_resyncs_ = 0;
   kernel::CompId sched_;
+  /// The scheduler functions this component blocks and wakes through,
+  /// resolved at construction.
+  kernel::FnIndex sched_block_, sched_wakeup_;
   c3::StorageComponent& storage_;
   kernel::FaultProfile profile_;
   Rng rng_;

@@ -15,6 +15,8 @@ LockComponent::LockComponent(kernel::Kernel& kernel, kernel::CompId sched,
                              kernel::FaultProfile profile, std::uint64_t seed)
     : Component(kernel, "lock", /*image_bytes=*/16 * 1024),
       sched_(sched),
+      sched_block_(kernel.component(sched).resolve("sched_block_raw")),
+      sched_wakeup_(kernel.component(sched).resolve("sched_wakeup_raw")),
       profile_(profile),
       rng_(seed) {
   export_fn("lock_alloc", [this](CallCtx& ctx, const Args& a) { return alloc(ctx, a); });
@@ -63,7 +65,7 @@ Value LockComponent::take(CallCtx& ctx, const Args& args) {
     // Contended: block through the scheduler (our server). If *we* get
     // micro-rebooted while this thread sleeps, ServerRebooted unwinds it back
     // to the client stub — which re-contends at the thread's own priority.
-    sys_invoke(kernel_, id(), sched_, "sched_block_raw", {ctx.thd});
+    sys_invoke(kernel_, id(), sched_, sched_block_, {ctx.thd});
     // Woken: the retry re-executes the take path in the server's pipeline
     // (another injection window), after dropping any stale waiter entry.
     auto relook = locks_.find(args[1]);
@@ -89,7 +91,7 @@ Value LockComponent::release(CallCtx& ctx, const Args& args) {
   if (!lock.waiters.empty()) {
     const kernel::ThreadId next = lock.waiters.front();
     lock.waiters.pop_front();
-    sys_invoke(kernel_, id(), sched_, "sched_wakeup_raw", {next});
+    sys_invoke(kernel_, id(), sched_, sched_wakeup_, {next});
   }
   return kernel::kOk;
 }
@@ -105,7 +107,7 @@ Value LockComponent::free_fn(CallCtx& ctx, const Args& args) {
   const std::deque<kernel::ThreadId> waiters = std::move(it->second.waiters);
   locks_.erase(it);
   for (const kernel::ThreadId waiter : waiters) {
-    sys_invoke(kernel_, id(), sched_, "sched_wakeup_raw", {waiter});
+    sys_invoke(kernel_, id(), sched_, sched_wakeup_, {waiter});
   }
   return kernel::kOk;
 }

@@ -47,6 +47,9 @@ class LockComponent final : public kernel::Component {
   std::map<kernel::Value, Lock> locks_;
   kernel::Value next_id_ = 1;
   kernel::CompId sched_;
+  /// The scheduler functions this component blocks and wakes through,
+  /// resolved at construction.
+  kernel::FnIndex sched_block_, sched_wakeup_;
   kernel::FaultProfile profile_;
   Rng rng_;
 };

@@ -11,9 +11,10 @@ namespace sg::components {
 /// blocking a thread through the scheduler). System components do not carry
 /// full interface stubs for their own servers in this implementation; they
 /// use this bounded redo loop — the moral equivalent of the thin stubs C3
-/// places on the component-kernel interface.
+/// places on the component-kernel interface. `fn` is the server's handler
+/// index, resolved once when the component is wired.
 inline kernel::Value sys_invoke(kernel::Kernel& kernel, kernel::CompId client,
-                                kernel::CompId server, const std::string& fn,
+                                kernel::CompId server, kernel::FnIndex fn,
                                 const kernel::Args& args) {
   constexpr int kMaxRedos = 8;
   for (int redo = 0; redo < kMaxRedos; ++redo) {
@@ -21,7 +22,7 @@ inline kernel::Value sys_invoke(kernel::Kernel& kernel, kernel::CompId client,
     if (!res.fault) return res.ret;
   }
   throw kernel::SystemCrash(kernel::CrashKind::kDoubleFault, server,
-                            "sys_invoke redo limit: " + fn);
+                            "sys_invoke redo limit: " + kernel.component(server).fn_name(fn));
 }
 
 }  // namespace sg::components

@@ -72,8 +72,10 @@ System::System(SystemConfig config) : config_(std::move(config)) {
   // wakeup function lives in the recovering server's *server*: the kernel
   // for the scheduler, the scheduler component for everything else (§III-C).
   kernel::Kernel& kern = *kernel_;
-  auto sched_wakeup = [&kern, this](ThreadId thd) {
-    sys_invoke(kern, sched_->id(), sched_->id(), "sched_wakeup_recovery_raw", {thd});
+  const kernel::CompId sched = sched_->id();
+  const kernel::FnIndex wakeup_recovery = sched_->resolve("sched_wakeup_recovery_raw");
+  auto sched_wakeup = [&kern, sched, wakeup_recovery](ThreadId thd) {
+    sys_invoke(kern, sched, sched, wakeup_recovery, {thd});
   };
   auto kernel_wakeup = [&kern](ThreadId thd) { kern.wakeup(thd, /*recovery_wake=*/true); };
 

@@ -15,6 +15,8 @@ TimerMgrComponent::TimerMgrComponent(kernel::Kernel& kernel, kernel::CompId sche
                                      kernel::FaultProfile profile, std::uint64_t seed)
     : Component(kernel, "tmr", /*image_bytes=*/16 * 1024),
       sched_(sched),
+      sched_block_timed_(kernel.component(sched).resolve("sched_block_timed_raw")),
+      sched_wakeup_(kernel.component(sched).resolve("sched_wakeup_raw")),
       profile_(profile),
       rng_(seed) {
   export_fn("tmr_setup", [this](CallCtx& ctx, const Args& a) { return setup(ctx, a); });
@@ -53,7 +55,7 @@ Value TimerMgrComponent::block(CallCtx& ctx, const Args& args) {
     timer.next_deadline += static_cast<kernel::VirtualTime>(timer.period_us);
   }
   timer.waiter = ctx.thd;
-  const Value woken = sys_invoke(kernel_, id(), sched_, "sched_block_timed_raw",
+  const Value woken = sys_invoke(kernel_, id(), sched_, sched_block_timed_,
                                  {ctx.thd, static_cast<Value>(timer.next_deadline)});
   auto again = timers_.find(args[1]);  // Map may have been wiped while blocked.
   if (again != timers_.end()) {
@@ -69,7 +71,7 @@ Value TimerMgrComponent::cancel(CallCtx& ctx, const Args& args) {
   auto it = timers_.find(args[1]);
   if (it == timers_.end()) return kernel::kErrInval;
   if (it->second.waiter != kernel::kNoThread) {
-    sys_invoke(kernel_, id(), sched_, "sched_wakeup_raw", {it->second.waiter});
+    sys_invoke(kernel_, id(), sched_, sched_wakeup_, {it->second.waiter});
     it->second.waiter = kernel::kNoThread;
   }
   return kernel::kOk;
@@ -84,7 +86,7 @@ Value TimerMgrComponent::free_fn(CallCtx& ctx, const Args& args) {
   const kernel::ThreadId waiter = it->second.waiter;
   timers_.erase(it);
   if (waiter != kernel::kNoThread) {
-    sys_invoke(kernel_, id(), sched_, "sched_wakeup_raw", {waiter});
+    sys_invoke(kernel_, id(), sched_, sched_wakeup_, {waiter});
   }
   return kernel::kOk;
 }

@@ -45,6 +45,9 @@ class TimerMgrComponent final : public kernel::Component {
   std::map<kernel::Value, Timer> timers_;
   kernel::Value next_id_ = 1;
   kernel::CompId sched_;
+  /// The scheduler functions this component blocks and wakes through,
+  /// resolved at construction.
+  kernel::FnIndex sched_block_timed_, sched_wakeup_;
   kernel::FaultProfile profile_;
   Rng rng_;
 };

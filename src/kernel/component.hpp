@@ -1,5 +1,6 @@
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -53,18 +54,25 @@ class Component {
   std::size_t image_bytes() const { return image_bytes_; }
 
   /// Exports an interface function under `fn_name`. Exported names form the
-  /// component's interface I_{d_r} in the SuperGlue model.
+  /// component's interface I_{d_r} in the SuperGlue model. The handler gets
+  /// the next dense FnIndex.
   void export_fn(const std::string& fn_name, Handler handler);
 
   /// Interposes on an already-exported function (used by server-side stubs to
-  /// wrap handlers with G0 recovery logic). Returns the previous handler.
+  /// wrap handlers with G0 recovery logic). Returns the previous handler. The
+  /// function keeps its FnIndex.
   Handler replace_fn(const std::string& fn_name, Handler handler);
 
-  bool exports(const std::string& fn_name) const { return handlers_.count(fn_name) != 0; }
+  bool exports(const std::string& fn_name) const { return fn_index_.count(fn_name) != 0; }
   std::vector<std::string> exported_fns() const;
 
-  /// Dispatches an exported function. Called only by the kernel.
-  Value dispatch(CallCtx& ctx, const std::string& fn_name, const Args& args);
+  /// Cold name lookup of the FnIndex callers cache and invoke by. An
+  /// unexported name raises "<component> does not export <fn>".
+  FnIndex resolve(const std::string& fn_name) const;
+  const std::string& fn_name(FnIndex fn) const;
+
+  /// Dispatches an exported function by index. Called only by the kernel.
+  Value dispatch(CallCtx& ctx, FnIndex fn, const Args& args);
 
   /// --- micro-reboot protocol (driven by the booter) -----------------------
   /// Discards all private state, returning the component to its post-boot
@@ -82,7 +90,11 @@ class Component {
   CompId id_;
   std::string name_;
   std::size_t image_bytes_;
-  std::unordered_map<std::string, Handler> handlers_;
+  /// Indexed by FnIndex. A deque, so exporting (a client stub adds its U0
+  /// upcall on first use) never moves a handler that is running.
+  std::deque<Handler> handlers_;
+  std::vector<std::string> fn_names_;  ///< Indexed by FnIndex.
+  std::unordered_map<std::string, FnIndex> fn_index_;
 };
 
 }  // namespace sg::kernel

@@ -85,30 +85,42 @@ Component::Component(Kernel& kernel, std::string name, std::size_t image_bytes)
 Component::~Component() { kernel_.unregister_component(id_); }
 
 void Component::export_fn(const std::string& fn_name, Handler handler) {
-  SG_ASSERT_MSG(handlers_.emplace(fn_name, std::move(handler)).second,
+  const auto fn = static_cast<FnIndex>(handlers_.size());
+  SG_ASSERT_MSG(fn_index_.emplace(fn_name, fn).second,
                 "duplicate export of " + fn_name + " in " + name_);
+  handlers_.push_back(std::move(handler));
+  fn_names_.push_back(fn_name);
 }
 
 Component::Handler Component::replace_fn(const std::string& fn_name, Handler handler) {
-  auto it = handlers_.find(fn_name);
-  SG_ASSERT_MSG(it != handlers_.end(), name_ + " does not export " + fn_name);
-  Handler old = std::move(it->second);
-  it->second = std::move(handler);
+  Handler& slot = handlers_[static_cast<std::size_t>(resolve(fn_name))];
+  Handler old = std::move(slot);
+  slot = std::move(handler);
   return old;
 }
 
 std::vector<std::string> Component::exported_fns() const {
-  std::vector<std::string> names;
-  names.reserve(handlers_.size());
-  for (const auto& [name, handler] : handlers_) names.push_back(name);
+  std::vector<std::string> names = fn_names_;
   std::sort(names.begin(), names.end());
   return names;
 }
 
-Value Component::dispatch(CallCtx& ctx, const std::string& fn_name, const Args& args) {
-  auto it = handlers_.find(fn_name);
-  SG_ASSERT_MSG(it != handlers_.end(), name_ + " does not export " + fn_name);
-  return it->second(ctx, args);
+FnIndex Component::resolve(const std::string& fn_name) const {
+  auto it = fn_index_.find(fn_name);
+  SG_ASSERT_MSG(it != fn_index_.end(), name_ + " does not export " + fn_name);
+  return it->second;
+}
+
+const std::string& Component::fn_name(FnIndex fn) const {
+  SG_ASSERT_MSG(fn >= 0 && static_cast<std::size_t>(fn) < fn_names_.size(),
+                name_ + " has no function #" + std::to_string(fn));
+  return fn_names_[static_cast<std::size_t>(fn)];
+}
+
+Value Component::dispatch(CallCtx& ctx, FnIndex fn, const Args& args) {
+  SG_ASSERT_MSG(fn >= 0 && static_cast<std::size_t>(fn) < handlers_.size(),
+                name_ + " has no function #" + std::to_string(fn));
+  return handlers_[static_cast<std::size_t>(fn)](ctx, args);
 }
 
 // ---------------------------------------------------------------------------
@@ -128,50 +140,71 @@ Kernel::Kernel() = default;
 
 Kernel::~Kernel() = default;
 
+Kernel::CompSlot* Kernel::find_slot(CompId id) const {
+  if (id < 1) return nullptr;
+  const auto index = static_cast<std::size_t>(id - 1);
+  if (index >= kMaxSlotChunks * kSlotsPerChunk) return nullptr;
+  SlotChunk* chunk = slot_chunks_[index / kSlotsPerChunk].load(std::memory_order_acquire);
+  return chunk == nullptr ? nullptr : &(*chunk)[index % kSlotsPerChunk];
+}
+
+Kernel::CompSlot& Kernel::slot_locked(CompId id) const {
+  CompSlot* slot = id < next_comp_id_ ? find_slot(id) : nullptr;
+  SG_ASSERT_MSG(slot != nullptr, "unknown component id " + std::to_string(id));
+  return *slot;
+}
+
 CompId Kernel::register_component(Component* comp) {
   std::lock_guard<std::mutex> lock(mtx_);
-  const CompId id = next_comp_id_++;
-  components_[id] = comp;
-  fault_epochs_[id] = 0;
+  const CompId id = next_comp_id_;
+  const auto index = static_cast<std::size_t>(id - 1);
+  SG_ASSERT_MSG(index < kMaxSlotChunks * kSlotsPerChunk,
+                "component table full (" + std::to_string(index) + " components)");
+  std::atomic<SlotChunk*>& chunk = slot_chunks_[index / kSlotsPerChunk];
+  if (chunk.load(std::memory_order_relaxed) == nullptr) {
+    slot_storage_.push_back(std::make_unique<SlotChunk>());
+    chunk.store(slot_storage_.back().get(), std::memory_order_release);
+  }
+  ++next_comp_id_;
+  slot_locked(id).comp.store(comp, std::memory_order_release);
   return id;
 }
 
 void Kernel::unregister_component(CompId id) {
   std::lock_guard<std::mutex> lock(mtx_);
-  components_.erase(id);
+  slot_locked(id).comp.store(nullptr, std::memory_order_release);
 }
 
 Component& Kernel::component(CompId id) const {
-  std::lock_guard<std::mutex> lock(mtx_);
-  auto it = components_.find(id);
-  SG_ASSERT_MSG(it != components_.end(), "unknown component id " + std::to_string(id));
-  return *it->second;
+  const CompSlot* slot = find_slot(id);
+  Component* comp = slot == nullptr ? nullptr : slot->comp.load(std::memory_order_acquire);
+  SG_ASSERT_MSG(comp != nullptr, "unknown component id " + std::to_string(id));
+  return *comp;
 }
 
 Component* Kernel::find_component(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mtx_);
-  // Lowest-id match: the map is unordered, and schedule replay (src/explore)
-  // needs every lookup to resolve identically across runs.
-  Component* found = nullptr;
-  for (const auto& [id, comp] : components_) {
-    if (comp->name() == name && (found == nullptr || id < found->id())) found = comp;
+  // Lowest-id match: schedule replay (src/explore) needs every lookup to
+  // resolve identically across runs.
+  for (CompId id = 1; id < next_comp_id_; ++id) {
+    Component* comp = slot_locked(id).comp.load(std::memory_order_relaxed);
+    if (comp != nullptr && comp->name() == name) return comp;
   }
-  return found;
+  return nullptr;
 }
 
 std::vector<CompId> Kernel::component_ids() const {
   std::lock_guard<std::mutex> lock(mtx_);
   std::vector<CompId> ids;
-  ids.reserve(components_.size());
-  for (const auto& [id, comp] : components_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
+  for (CompId id = 1; id < next_comp_id_; ++id) {
+    if (slot_locked(id).comp.load(std::memory_order_relaxed) != nullptr) ids.push_back(id);
+  }
   return ids;
 }
 
 int Kernel::fault_epoch(CompId id) const {
-  std::lock_guard<std::mutex> lock(mtx_);
-  auto it = fault_epochs_.find(id);
-  return it == fault_epochs_.end() ? 0 : it->second;
+  const CompSlot* slot = find_slot(id);
+  return slot == nullptr ? 0 : slot->epoch.load(std::memory_order_acquire);
 }
 
 void Kernel::grant_cap(CompId client, CompId server) {
@@ -182,8 +215,13 @@ void Kernel::grant_cap(CompId client, CompId server) {
 
 bool Kernel::cap_ok(CompId client, CompId server) const {
   if (default_allow_) return true;
-  if (client == kNoComp) return true;  // Root/boot context is trusted.
   std::lock_guard<std::mutex> lock(mtx_);
+  return cap_ok_locked(client, server);
+}
+
+bool Kernel::cap_ok_locked(CompId client, CompId server) const {
+  if (default_allow_) return true;
+  if (client == kNoComp) return true;  // Root/boot context is trusted.
   return caps_.count((static_cast<std::uint64_t>(static_cast<std::uint32_t>(client)) << 32) |
                      static_cast<std::uint32_t>(server)) != 0;
 }
@@ -1107,7 +1145,7 @@ void Kernel::check_stack_epochs(SimThread& self) {
   {
     std::lock_guard<std::mutex> lock(mtx_);
     for (const auto& frame : self.stack) {  // Outermost stale frame wins.
-      if (fault_epochs_.at(frame.comp) != frame.epoch_at_entry) {
+      if (fault_epoch(frame.comp) != frame.epoch_at_entry) {
         stale = frame.comp;
         break;
       }
@@ -1135,7 +1173,7 @@ bool Kernel::block_current() {
     // missed wake. Single-runner kernels can't hit this (the sweep and the
     // blocker never overlap), so the check is a no-op on fresh stacks.
     for (const auto& frame : self.stack) {
-      if (fault_epochs_.at(frame.comp) != frame.epoch_at_entry) {
+      if (fault_epoch(frame.comp) != frame.epoch_at_entry) {
         const CompId stale = frame.comp;
         lock.unlock();
         throw ServerRebooted(stale);
@@ -1161,7 +1199,7 @@ void Kernel::check_stack_epochs_banking(SimThread& self) {
   {
     std::lock_guard<std::mutex> lock(mtx_);
     for (const auto& frame : self.stack) {
-      if (fault_epochs_.at(frame.comp) != frame.epoch_at_entry) {
+      if (fault_epoch(frame.comp) != frame.epoch_at_entry) {
         stale = frame.comp;
         break;
       }
@@ -1291,11 +1329,8 @@ bool Kernel::wakeup(ThreadId target_id, bool recovery_wake) {
 // Kernel: invocation
 // ---------------------------------------------------------------------------
 
-InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
-                            const Args& args, int expected_epoch) {
-  SG_ASSERT_MSG(cap_ok(client, server),
-                "capability fault: comp " + std::to_string(client) + " -> " +
-                    std::to_string(server) + " (" + fn + ")");
+InvokeResult Kernel::invoke(CompId client, CompId server, FnIndex fn, const Args& args,
+                            int expected_epoch) {
   // Epoch fence, part 1: remember which incarnation of the server this call
   // was made against. The caller translated its arguments (descriptor sids)
   // before entering; if the server micro-reboots between here and dispatch —
@@ -1308,12 +1343,13 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
   // translation and this entry, so callers that know the epoch they
   // translated against pass it in.
   const int entry_epoch = expected_epoch >= 0 ? expected_epoch : fault_epoch(server);
+  SimThread* const self = self_if_running();
   // Crash-point number of this entry + 1, or 0 when no policy was consulted.
   // Stamped into the kInvokeEnter event's d slot so the explorer can map each
   // dispatched invocation back to its crash choice point and derive the
   // commuting-invoke independence relation (docs/EXPLORER.md).
   std::int64_t crash_point_stamp = 0;
-  if (schedule_policy_ != nullptr && self_if_running() != nullptr && !shutdown_) {
+  if (schedule_policy_ != nullptr && self != nullptr && !shutdown_) {
     // Crash choice point: the policy may fell any component right here, as if
     // an asynchronous fail-stop fault landed at this invocation boundary.
     // crash_choices_ mirrors the policy's own per-call counter: both advance
@@ -1325,50 +1361,62 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
       inject_crash(victim);
     }
   }
-  if (!admission_gate(server)) return {0, true};  // Rebooted while we were held.
-  SimThread* self = nullptr;
-  bool preempted = false;
-  {
-    std::unique_lock<std::mutex> lock(mtx_);
-    auto comp_it = components_.find(server);
-    SG_ASSERT_MSG(comp_it != components_.end(), "invoke of unknown component");
-    ++invocation_count_;
-    clock_.advance(tick_per_invocation_);
-    if (SimThread* s = self_if_running()) {
-      self = s;
-      wake_expired_timers_locked();
-      kick_idle_cores_locked();  // Newly-ready timer threads may fit idle cores.
-      if (schedule_policy_ != nullptr && !shutdown_) {
-        // Under an exploration policy every invocation entry is a full
-        // scheduling point; the incumbent rule keeps the default pick
-        // identical to the plain preemption check below.
-        sched_incumbent_ = tls_self;
+  // Entry: one critical section for the capability check, the admission
+  // gate, the entry bookkeeping, the epoch fence and the frame push. The
+  // slow paths (a backoff hold, a preemption, the cores>1 occupancy handoff)
+  // drop the lock to wait and retake it.
+  std::unique_lock<std::mutex> lock(mtx_);
+  CompSlot& slot = slot_locked(server);
+  Component* const srv = slot.comp.load(std::memory_order_relaxed);
+  SG_ASSERT_MSG(srv != nullptr, "invoke of unknown component");
+  SG_ASSERT_MSG(cap_ok_locked(client, server),
+                "capability fault: comp " + std::to_string(client) + " -> " +
+                    std::to_string(server) + " (" + srv->fn_name(fn) + ")");
+  // Admission gate: a quarantined server fails fast; a held one (supervisor
+  // backoff) parks simulated callers on the virtual clock. Root/boot
+  // contexts cannot park and only honour the quarantine.
+  if (slot.quarantined) throw QuarantinedError(server);
+  if (self != nullptr && slot.hold_until > clock_.now() &&
+      !wait_out_hold_locked(lock, *self, server)) {
+    return {0, true};  // Rebooted while we were held.
+  }
+  ++invocation_count_;
+  clock_.advance(tick_per_invocation_);
+  if (self != nullptr) {
+    wake_expired_timers_locked();
+    kick_idle_cores_locked();  // Newly-ready timer threads may fit idle cores.
+    bool preempted = false;
+    if (schedule_policy_ != nullptr && !shutdown_) {
+      // Under an exploration policy every invocation entry is a full
+      // scheduling point; the incumbent rule keeps the default pick
+      // identical to the plain preemption check below.
+      sched_incumbent_ = tls_self;
+      make_ready_locked(*self);
+      reschedule_and_wait_locked(lock, *self);
+      preempted = true;
+    } else {
+      // Timer-driven preemption point: a newly-woken higher-priority thread
+      // (e.g., the SWIFI injector) runs before this invocation proceeds.
+      ThreadId best = kNoThread;
+      for (const auto& tp : threads_) {
+        if (tp->state == ThreadState::kReady &&
+            (best == kNoThread || tp->prio < thd(best).prio)) {
+          best = tp->id;
+        }
+      }
+      if (best != kNoThread && thd(best).prio < self->prio) {
         make_ready_locked(*self);
         reschedule_and_wait_locked(lock, *self);
         preempted = true;
-      } else {
-        // Timer-driven preemption point: a newly-woken higher-priority thread
-        // (e.g., the SWIFI injector) runs before this invocation proceeds.
-        ThreadId best = kNoThread;
-        for (const auto& tp : threads_) {
-          if (tp->state == ThreadState::kReady &&
-              (best == kNoThread || tp->prio < thd(best).prio)) {
-            best = tp->id;
-          }
-        }
-        if (best != kNoThread && thd(best).prio < self->prio) {
-          make_ready_locked(*self);
-          reschedule_and_wait_locked(lock, *self);
-          preempted = true;
-        }
       }
     }
-  }
-  if (self != nullptr) {
-    // While preempted, another thread may have crashed/rebooted a component
-    // we are executing inside of; unwind stale frames before going deeper.
-    if (preempted) check_stack_epochs(*self);
-    std::unique_lock<std::mutex> lock(mtx_);
+    if (preempted) {
+      // While preempted, another thread may have crashed/rebooted a component
+      // we are executing inside of; unwind stale frames before going deeper.
+      lock.unlock();
+      check_stack_epochs(*self);
+      lock.lock();
+    }
     // cores>1: hand our running occupancy from the current component to the
     // server, waiting (core released, no hold-and-wait) if another core is
     // executing inside it. Re-entrant same-component calls skip the handoff.
@@ -1402,7 +1450,8 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
     // but before it dispatched. The fault overlapped the call, so report it
     // exactly like a fault during the handler: the stub redoes the call
     // through recovery with freshly translated arguments.
-    if (fault_epochs_.at(server) != entry_epoch) {
+    const int epoch = slot.epoch.load(std::memory_order_relaxed);
+    if (epoch != entry_epoch) {
       if (handed_off) {
         // Undo the handoff: give the server back and retake our old slot
         // (a no-op retake when the caller has no home component).
@@ -1411,29 +1460,28 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
       }
       return {0, true};
     }
-    self->stack.push_back({server, fault_epochs_.at(server)});
-    // Traced inside the same critical section as the epoch fence so the
-    // event order agrees with the admission decision: an enter sequenced
-    // after a kFault really did queue behind the containment gate. At
-    // cores=1 there is no concurrent tracer, so the stream is unchanged.
-    trace(trace::EventKind::kInvokeEnter, server, 0, 0, static_cast<std::int64_t>(client),
-          crash_point_stamp);
+    self->stack.push_back({server, epoch});
   }
-  Component& srv = component(server);
+  // Traced inside the same critical section as the epoch fence so the event
+  // order agrees with the admission decision: an enter sequenced after a
+  // kFault really did queue behind the containment gate. At cores=1 there is
+  // no concurrent tracer, so the stream is unchanged. A raw kernel-thread
+  // entry (no simulated thread) consulted no crash choice point: stamp 0.
+  trace(trace::EventKind::kInvokeEnter, server, 0, 0, static_cast<std::int64_t>(client),
+        crash_point_stamp);
+  lock.unlock();
+
   CallCtx ctx{*this, self != nullptr ? self->id : kNoThread, client, server};
-  if (self == nullptr) {
-    // Raw kernel-thread entry: no simulated thread, so no crash choice point
-    // was consulted (stamp stays 0).
-    trace(trace::EventKind::kInvokeEnter, server, 0, 0, static_cast<std::int64_t>(client),
-          crash_point_stamp);
-  }
+  // Return: one critical section for the frame pop and the completion count.
   // Status values match kInvokeReturn's schema: 0=ok, 1=fault, 2=unwound.
   // Returns true if handing occupancy back to the caller's frame had to wait.
   auto pop_frame = [&](std::int32_t status) {
     trace(trace::EventKind::kInvokeReturn, server, status);
     bool waited = false;
+    if (self == nullptr && status != 0) return waited;
+    std::unique_lock<std::mutex> pop_lock(mtx_);
+    if (status == 0) ++slot.completions;
     if (self != nullptr) {
-      std::unique_lock<std::mutex> lock(mtx_);
       SG_ASSERT(!self->stack.empty() && self->stack.back().comp == server);
       self->stack.pop_back();
       if (ncores_ > 1 && !shutdown_) {
@@ -1441,7 +1489,7 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
         const CompId to = top_or_home_locked(*self);
         if (to != server) {
           occ_release_locked(server, self->id);
-          waited = occ_wait_acquire_locked(lock, *self, to);
+          waited = occ_wait_acquire_locked(pop_lock, *self, to);
         }
       }
     }
@@ -1449,7 +1497,7 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
   };
   Value ret = 0;
   try {
-    ret = srv.dispatch(ctx, fn, args);
+    ret = srv->dispatch(ctx, fn, args);
   } catch (const ComponentFault& fault) {
     pop_frame(1);
     if (fault.comp() != server) throw;  // Inner frames handle their own comps.
@@ -1468,11 +1516,6 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
     pop_frame(2);
     throw;
   }
-  const bool waited = pop_frame(0);
-  {
-    std::lock_guard<std::mutex> lock(mtx_);
-    ++completions_[server];
-  }
   // cores>1: the wait to re-enter the caller's component is a scheduling
   // point, and that component may have been micro-rebooted meanwhile (the
   // wait also covers its fault-pending closure). Unwind the now-stale caller
@@ -1481,11 +1524,16 @@ InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
   // component's reboot would otherwise re-acquire the recreated lock from a
   // dead incarnation's frame, under the recovery walk that re-acquires it
   // for the pre-fault owner, and both threads would wait forever.
-  if (waited) check_stack_epochs(*self);
+  if (pop_frame(0)) check_stack_epochs(*self);
   return {ret, false};
 }
 
-InvokeResult Kernel::upcall(CompId from, CompId into, const std::string& fn, const Args& args) {
+InvokeResult Kernel::invoke(CompId client, CompId server, const std::string& fn,
+                            const Args& args, int expected_epoch) {
+  return invoke(client, server, component(server).resolve(fn), args, expected_epoch);
+}
+
+InvokeResult Kernel::upcall(CompId from, CompId into, FnIndex fn, const Args& args) {
   return invoke(from, into, fn, args);
 }
 
@@ -1558,7 +1606,7 @@ void Kernel::perform_micro_reboot(CompId comp_id) {
   ThreadId seize_owner = kRootOwner;
   {
     std::unique_lock<std::mutex> lock(mtx_);
-    epoch = ++fault_epochs_[comp_id];
+    epoch = slot_locked(comp_id).epoch.fetch_add(1, std::memory_order_release) + 1;
     ++total_reboots_;
     if (ncores_ > 1 && !shutdown_ && running_) {
       // Quiesce: seize the component's occupancy so no other core executes
@@ -1598,12 +1646,14 @@ void Kernel::quarantine(CompId comp_id) {
   std::vector<ThreadId> blocked;
   {
     std::lock_guard<std::mutex> lock(mtx_);
-    if (!quarantined_.insert(comp_id).second) return;
+    CompSlot& slot = slot_locked(comp_id);
+    if (slot.quarantined) return;
+    slot.quarantined = true;
     // Invalidate every invocation frame inside the dead component so blocked
     // threads unwind (ServerRebooted) instead of sleeping forever, and erase
     // any pending backoff hold: the gate now fails fast instead of waiting.
-    ++fault_epochs_[comp_id];
-    hold_until_.erase(comp_id);
+    slot.epoch.fetch_add(1, std::memory_order_release);
+    slot.hold_until = 0;
     clear_fault_pending_locked(comp_id);  // Quarantine resolves the fault.
     for (const auto& tp : threads_) {
       if (tp->state != ThreadState::kBlocked && tp->state != ThreadState::kTimedBlocked) continue;
@@ -1622,85 +1672,70 @@ void Kernel::quarantine(CompId comp_id) {
 void Kernel::readmit(CompId comp_id) {
   {
     std::lock_guard<std::mutex> lock(mtx_);
-    if (quarantined_.erase(comp_id) == 0) {
-      hold_until_.erase(comp_id);
-      return;
-    }
-    hold_until_.erase(comp_id);
+    CompSlot& slot = slot_locked(comp_id);
+    slot.hold_until = 0;
+    if (!slot.quarantined) return;
+    slot.quarantined = false;
   }
   trace(trace::EventKind::kReadmit, comp_id);
 }
 
 bool Kernel::is_quarantined(CompId comp_id) const {
   std::lock_guard<std::mutex> lock(mtx_);
-  return quarantined_.count(comp_id) != 0;
+  const CompSlot* slot = find_slot(comp_id);
+  return slot != nullptr && slot->quarantined;
 }
 
 void Kernel::hold_component(CompId comp_id, VirtualTime until) {
   {
     std::lock_guard<std::mutex> lock(mtx_);
-    VirtualTime& slot = hold_until_[comp_id];
-    slot = std::max(slot, until);
+    CompSlot& slot = slot_locked(comp_id);
+    slot.hold_until = std::max(slot.hold_until, until);
   }
   trace(trace::EventKind::kHold, comp_id, 0, 0, static_cast<std::int64_t>(until));
 }
 
 VirtualTime Kernel::held_until(CompId comp_id) const {
   std::lock_guard<std::mutex> lock(mtx_);
-  auto it = hold_until_.find(comp_id);
-  return it == hold_until_.end() ? 0 : it->second;
+  const CompSlot* slot = find_slot(comp_id);
+  return slot == nullptr ? 0 : slot->hold_until;
 }
 
-bool Kernel::admission_gate(CompId server) {
-  SimThread* self_ptr = self_if_running();
-  if (self_ptr == nullptr) {
-    // Root/boot context cannot park on the virtual clock; it only honours the
-    // fail-fast quarantine check.
-    std::lock_guard<std::mutex> lock(mtx_);
-    if (quarantined_.count(server) != 0) throw QuarantinedError(server);
-    return true;
-  }
-  SimThread& self = *self_ptr;
-  int epoch_at_entry = 0;
-  bool first_pass = true;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mtx_);
-      if (quarantined_.count(server) != 0) throw QuarantinedError(server);
-      if (first_pass) {
-        first_pass = false;
-        epoch_at_entry = fault_epochs_.at(server);
-      }
-      auto it = hold_until_.find(server);
-      const VirtualTime until = it == hold_until_.end() ? 0 : it->second;
-      // If the server rebooted again while we were parked here, our caller's
-      // view of it is stale (no ServerRebooted reached us: the server frame
-      // is not on our stack yet). Refuse admission so the stub recovers.
-      if (until <= clock_.now()) return fault_epochs_.at(server) == epoch_at_entry;
-      // Park until the supervisor's backoff expires WITHOUT consuming
-      // wakeups: a banked or genuine wakeup delivered while waiting here
-      // belongs to the blocking call the client is about to redo, so it is
-      // re-banked (exactly-once wakeup semantics survive the hold).
-      const bool saved_bank = self.banked_wakeup;
-      self.banked_wakeup = false;
-      self.state = ThreadState::kTimedBlocked;
-      self.deadline = until;
-      self.woken_explicitly = false;
-      self.wake_was_recovery = false;
-      reschedule_and_wait_locked(lock, self);
-      if (saved_bank || (self.woken_explicitly && !self.wake_was_recovery)) {
-        self.banked_wakeup = true;
-      }
+bool Kernel::wait_out_hold_locked(std::unique_lock<std::mutex>& lock, SimThread& self,
+                                  CompId server) {
+  CompSlot& slot = slot_locked(server);
+  const int epoch_at_entry = slot.epoch.load(std::memory_order_relaxed);
+  while (slot.hold_until > clock_.now()) {
+    // Park until the supervisor's backoff expires WITHOUT consuming
+    // wakeups: a banked or genuine wakeup delivered while waiting here
+    // belongs to the blocking call the client is about to redo, so it is
+    // re-banked (exactly-once wakeup semantics survive the hold).
+    const bool saved_bank = self.banked_wakeup;
+    self.banked_wakeup = false;
+    self.state = ThreadState::kTimedBlocked;
+    self.deadline = slot.hold_until;
+    self.woken_explicitly = false;
+    self.wake_was_recovery = false;
+    reschedule_and_wait_locked(lock, self);
+    if (saved_bank || (self.woken_explicitly && !self.wake_was_recovery)) {
+      self.banked_wakeup = true;
     }
     // Components on our stack may have rebooted while we waited out the hold.
+    lock.unlock();
     check_stack_epochs(self);
+    lock.lock();
+    if (slot.quarantined) throw QuarantinedError(server);
   }
+  // If the server rebooted while we were parked here, our caller's view of
+  // it is stale (no ServerRebooted reached us: the server frame is not on
+  // our stack yet). Refuse admission so the stub recovers.
+  return slot.epoch.load(std::memory_order_relaxed) == epoch_at_entry;
 }
 
 std::uint64_t Kernel::completions_of(CompId comp) const {
   std::lock_guard<std::mutex> lock(mtx_);
-  auto it = completions_.find(comp);
-  return it == completions_.end() ? 0 : it->second;
+  const CompSlot* slot = find_slot(comp);
+  return slot == nullptr ? 0 : slot->completions;
 }
 
 std::vector<Kernel::BlockedThreadInfo> Kernel::reflect_blocked_threads() const {

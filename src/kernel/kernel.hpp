@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -117,7 +119,9 @@ class Kernel {
   std::vector<CompId> component_ids() const;
 
   /// Per-component fault epoch: incremented on every micro-reboot. Client
-  /// stubs snapshot and compare it (CSTUB_FAULT_UPDATE).
+  /// stubs snapshot and compare it (CSTUB_FAULT_UPDATE). Written under the
+  /// kernel lock and published atomically, so this read takes no lock; an
+  /// unknown id reads 0.
   int fault_epoch(CompId id) const;
 
   // --- capabilities ---------------------------------------------------------
@@ -308,19 +312,24 @@ class Kernel {
   void set_tick_per_invocation(VirtualTime tick) { tick_per_invocation_ = tick; }
 
   // --- invocation -------------------------------------------------------------
-  /// Synchronous, capability-mediated invocation of `fn` exported by `server`.
-  /// The handler runs on the calling thread (thread migration). A fail-stop
-  /// ComponentFault in the server vectors to the booter (micro-reboot + epoch
-  /// bump + reboot hooks) and surfaces as {0, fault=true} to the caller.
-  /// `expected_epoch` (>= 0) is the server epoch the caller translated its
-  /// arguments against; the call is refused as a fault if the server was
-  /// micro-rebooted since. By default the epoch at entry is used.
+  /// Synchronous, capability-mediated invocation of the function `server`
+  /// exports at index `fn` (Component::resolve). The handler runs on the
+  /// calling thread (thread migration). A fail-stop ComponentFault in the
+  /// server vectors to the booter (micro-reboot + epoch bump + reboot hooks)
+  /// and surfaces as {0, fault=true} to the caller. `expected_epoch` (>= 0)
+  /// is the server epoch the caller translated its arguments against; the
+  /// call is refused as a fault if the server was micro-rebooted since. By
+  /// default the epoch at entry is used.
+  InvokeResult invoke(CompId client, CompId server, FnIndex fn, const Args& args,
+                      int expected_epoch = -1);
+  /// By name: resolves `fn` (cold) and invokes by index. An unexported name
+  /// raises "<server> does not export <fn>".
   InvokeResult invoke(CompId client, CompId server, const std::string& fn, const Args& args,
                       int expected_epoch = -1);
 
   /// Upcall from a server into a client component (U0 mechanism). Mediated
   /// like invoke but flows "downhill"; faults surface the same way.
-  InvokeResult upcall(CompId from, CompId into, const std::string& fn, const Args& args);
+  InvokeResult upcall(CompId from, CompId into, FnIndex fn, const Args& args);
 
   // --- fault handling ----------------------------------------------------------
   /// Installs the booter callback that performs the micro-reboot (memcpy +
@@ -559,14 +568,38 @@ class Kernel {
   /// Readies every token_wait thread (and notifies root waiters) so parked
   /// domain/machine waiters re-evaluate their grant conditions.
   void wake_token_waiters_locked();
-  /// Blocks the calling thread while `server` is held (supervisor backoff);
-  /// throws QuarantinedError if it is quarantined. Runs before the server
-  /// frame is pushed. Returns false if the server micro-rebooted while the
-  /// caller was parked at the gate: the invocation must NOT be dispatched
-  /// (the client stub saw the pre-reboot epoch, so its descriptors have not
-  /// been recovered) — invoke() surfaces the fault flag instead, and the
-  /// stub redoes with recovery.
-  bool admission_gate(CompId server);
+  /// Per-component kernel state, one slot per CompId (ids are dense from 1).
+  /// `comp` and `epoch` are written only under mtx_ and read anywhere:
+  /// component() and fault_epoch() load them without the lock. The other
+  /// fields are guarded by mtx_.
+  struct CompSlot {
+    std::atomic<Component*> comp{nullptr};  ///< nullptr once unregistered.
+    std::atomic<int> epoch{0};
+    std::uint64_t completions = 0;
+    VirtualTime hold_until = 0;  ///< Supervisor backoff; 0: not held.
+    bool quarantined = false;
+  };
+  /// Slots live in fixed-size chunks that are never moved or freed while the
+  /// kernel lives, so lock-free readers stay valid while components register.
+  static constexpr std::size_t kSlotsPerChunk = 64;
+  static constexpr std::size_t kMaxSlotChunks = 1024;
+  using SlotChunk = std::array<CompSlot, kSlotsPerChunk>;
+  /// The slot of `id`, or nullptr if no component ever had that id. Takes no
+  /// lock; callers read the unpublished fields under mtx_.
+  CompSlot* find_slot(CompId id) const;
+  /// The slot of a registered `id`; asserts otherwise. Requires mtx_.
+  CompSlot& slot_locked(CompId id) const;
+  bool cap_ok_locked(CompId client, CompId server) const;
+
+  /// Parks the calling thread while `server` is held (supervisor backoff);
+  /// throws QuarantinedError if it is quarantined meanwhile. Called from the
+  /// invoke entry section, before the server frame is pushed, with mtx_ held
+  /// (released while parked, held again on return). Returns false if the
+  /// server micro-rebooted while the caller was parked at the gate: the
+  /// invocation must NOT be dispatched (the client stub saw the pre-reboot
+  /// epoch, so its descriptors have not been recovered) — invoke() surfaces
+  /// the fault flag instead, and the stub redoes with recovery.
+  bool wait_out_hold_locked(std::unique_lock<std::mutex>& lock, SimThread& self, CompId server);
 
   void trace_impl(trace::EventKind kind, CompId comp, std::int32_t a, std::int32_t b,
                   std::int64_t c, std::int64_t d);
@@ -578,8 +611,8 @@ class Kernel {
   /// fault-pending clears, a component's final occupancy release, shutdown.
   std::condition_variable root_cv_;
 
-  std::unordered_map<CompId, Component*> components_;
-  std::unordered_map<CompId, int> fault_epochs_;
+  std::array<std::atomic<SlotChunk*>, kMaxSlotChunks> slot_chunks_{};
+  std::vector<std::unique_ptr<SlotChunk>> slot_storage_;  ///< Owns slot_chunks_.
   CompId next_comp_id_ = 1;
 
   std::vector<std::unique_ptr<SimThread>> threads_;
@@ -612,7 +645,6 @@ class Kernel {
 
   VirtualClock clock_;
   VirtualTime tick_per_invocation_ = 1;
-  std::unordered_map<CompId, std::uint64_t> completions_;
 
   std::function<void(Component&)> micro_reboot_;
   std::vector<RebootHook> reboot_hooks_;
@@ -626,8 +658,6 @@ class Kernel {
                                          ///< stamped into kInvokeEnter events as
                                          ///< commutation metadata).
   ThreadId sched_incumbent_ = kNoThread;  ///< Valid for the next pick only.
-  std::unordered_map<CompId, VirtualTime> hold_until_;
-  std::unordered_set<CompId> quarantined_;
   int total_reboots_ = 0;
   std::uint64_t invocation_count_ = 0;
   int invoke_depth_guard_ = 0;

@@ -11,6 +11,11 @@ using ThreadId = int;
 /// Identifier for a component (protection domain).
 using CompId = int;
 
+/// Index of an exported function in its component's handler table
+/// (Component::resolve). Indices are dense from 0 in export order and stay
+/// valid for the component's life, across replace_fn and micro-reboots.
+using FnIndex = std::int32_t;
+
 /// Numeric priority; *smaller is more urgent* (priority 0 preempts priority 5).
 using Priority = int;
 
@@ -27,6 +32,7 @@ using Args = std::vector<Value>;
 
 inline constexpr ThreadId kNoThread = -1;
 inline constexpr CompId kNoComp = -1;
+inline constexpr FnIndex kNoFnIndex = -1;
 
 /// Error codes returned by system components over their interfaces (negative
 /// to distinguish from valid descriptors/values, mirroring POSIX style).

@@ -111,7 +111,11 @@ RequestEngine::RequestEngine(System& sys, bool componentized)
     expected_sum_[pathid] = bytes_checksum(build_response(200, status_reason(200), body));
   }
   httpd_ = std::make_unique<HttpdComponent>(*this);
-  if (!componentized_) monolith_ = std::make_unique<MonolithComponent>(*this);
+  parse_fn_ = httpd_->resolve("http_parse");
+  if (!componentized_) {
+    monolith_ = std::make_unique<MonolithComponent>(*this);
+    handle_fn_ = monolith_->resolve("handle");
+  }
 }
 
 RequestEngine::~RequestEngine() = default;
@@ -191,7 +195,7 @@ bool RequestEngine::Worker::serve(Slice request) {
   auto& cbufs = eng.sys_.cbufs();
 
   if (!eng.componentized_) {
-    const Value ret = kern.invoke(w.comp.id(), eng.monolith_->id(), "handle",
+    const Value ret = kern.invoke(w.comp.id(), eng.monolith_->id(), eng.handle_fn_,
                                   {static_cast<Value>(request.buf), request.offset, request.len})
                           .ret;
     return ret > 0;
@@ -201,7 +205,7 @@ bool RequestEngine::Worker::serve(Slice request) {
   // web server: HTTP parse -> idle-timeout reset -> content-cache lock ->
   // cache-page mapping -> chunked file reads (on response-cache miss) ->
   // zero-copy response slice -> network stack -> completion.
-  const Value pathid = kern.invoke(w.comp.id(), eng.httpd_->id(), "http_parse",
+  const Value pathid = kern.invoke(w.comp.id(), eng.httpd_->id(), eng.parse_fn_,
                                    {static_cast<Value>(request.buf), request.offset, request.len})
                            .ret;
   if (pathid == kParseBadRequest || pathid == kParseMethodNotAllowed) {

@@ -137,6 +137,8 @@ class RequestEngine {
   class MonolithComponent;
   std::unique_ptr<HttpdComponent> httpd_;
   std::unique_ptr<MonolithComponent> monolith_;
+  kernel::FnIndex parse_fn_ = kernel::kNoFnIndex;   ///< httpd's "http_parse".
+  kernel::FnIndex handle_fn_ = kernel::kNoFnIndex;  ///< monolith's "handle".
   std::map<kernel::Value, std::string> body_of_path_;
   /// Expected full-response checksum per pathid (the serve-correctness
   /// oracle, compared zero-copy against the served slice).

@@ -11,6 +11,8 @@
 #include "kernel/fault.hpp"
 #include "kernel/kernel.hpp"
 #include "tests/test_util.hpp"
+#include "trace/trace.hpp"
+#include "util/rng.hpp"
 
 namespace sg {
 namespace {
@@ -289,6 +291,93 @@ TEST(KernelHandoffTest, SixteenThreadYieldRingKeepsFifoOrder) {
     ASSERT_EQ(order[i], static_cast<int>(i % kThreads)) << "position " << i;
   }
   EXPECT_EQ(kern.max_concurrent_running(), 1);
+}
+
+
+// --- invocation by function index ---------------------------------------------
+
+struct SeededCallRun {
+  std::vector<std::pair<Value, bool>> results;  ///< (ret, fault) per call.
+  std::string trace;                            ///< Normalized event stream.
+};
+
+/// A seeded call sequence against an EchoComponent, with fail-stop "boom"
+/// calls (micro-reboots) among the state reads and writes. `by_index` invokes
+/// through indices resolved once up front instead of by name.
+SeededCallRun run_seeded_calls(bool by_index, std::uint64_t seed) {
+  kernel::Kernel kern;
+  kern.tracer().set_enabled(true);
+  kernel::Booter booter(kern);
+  EchoComponent client(kern);
+  EchoComponent echo(kern);
+  booter.capture_image(echo);
+  const std::vector<std::string> fns{"echo", "state_set", "state_get", "boom"};
+  std::vector<kernel::FnIndex> indices;
+  for (const std::string& fn : fns) indices.push_back(echo.resolve(fn));
+  SeededCallRun run;
+  kern.thd_create(
+      "caller", 10,
+      [&] {
+        Rng rng(seed);
+        for (int i = 0; i < 300; ++i) {
+          const std::size_t pick = rng.next_below(fns.size());
+          const Args args{rng.uniform(-1000, 1000)};
+          const kernel::InvokeResult res =
+              by_index ? kern.invoke(client.id(), echo.id(), indices[pick], args)
+                       : kern.invoke(client.id(), echo.id(), fns[pick], args);
+          run.results.emplace_back(res.ret, res.fault);
+        }
+      },
+      client.id());
+  kern.run();
+  run.trace = trace::format_normalized(kern.tracer().snapshot().events);
+  return run;
+}
+
+TEST(KernelInvokeIndexTest, ByNameAndByIndexAgreeOnResultsAndTrace) {
+  for (const std::uint64_t seed : {1u, 7u, 42u}) {
+    const SeededCallRun by_name = run_seeded_calls(/*by_index=*/false, seed);
+    const SeededCallRun by_index = run_seeded_calls(/*by_index=*/true, seed);
+    ASSERT_EQ(by_name.results.size(), 300u);
+    EXPECT_EQ(by_name.results, by_index.results) << "seed " << seed;
+    EXPECT_EQ(by_name.trace, by_index.trace) << "seed " << seed;
+    EXPECT_NE(by_name.trace.find("micro-reboot"), std::string::npos) << "seed " << seed;
+  }
+}
+
+TEST(KernelInvokeIndexTest, UnexportedNameThrowsAndReplaceFnKeepsIndex) {
+  kernel::Kernel kern;
+  EchoComponent echo(kern);
+  EXPECT_FALSE(echo.exports("missing"));
+  const kernel::FnIndex fn = echo.resolve("echo");
+  std::string message;
+  kern.thd_create("caller", 5, [&] {
+    try {
+      kern.invoke(kernel::kNoComp, echo.id(), "missing", {1});
+    } catch (const AssertionError& error) {
+      message = error.what();
+    }
+    echo.replace_fn("echo", [](CallCtx&, const Args& args) -> Value { return args.at(0) * 2; });
+    EXPECT_EQ(echo.resolve("echo"), fn);
+    EXPECT_EQ(kern.invoke(kernel::kNoComp, echo.id(), fn, {21}).ret, 42);
+    EXPECT_EQ(kern.invoke(kernel::kNoComp, echo.id(), "echo", {5}).ret, 10);
+  });
+  kern.run();
+  EXPECT_NE(message.find("echo does not export missing"), std::string::npos) << message;
+}
+
+TEST(KernelInvokeIndexTest, FaultEpochOfUnknownIdIsZero) {
+  kernel::Kernel kern;
+  EXPECT_EQ(kern.fault_epoch(kernel::kNoComp), 0);
+  EXPECT_EQ(kern.fault_epoch(0), 0);
+  EXPECT_EQ(kern.fault_epoch(12345), 0);
+  EXPECT_EQ(kern.fault_epoch(1 << 30), 0);
+  EchoComponent echo(kern);
+  EXPECT_EQ(kern.fault_epoch(echo.id() + 1), 0);
+  kern.thd_create("crasher", 5, [&] { kern.inject_crash(echo.id()); });
+  kern.run();
+  EXPECT_EQ(kern.fault_epoch(echo.id()), 1);
+  EXPECT_EQ(kern.fault_epoch(echo.id() + 1), 0);
 }
 
 }  // namespace

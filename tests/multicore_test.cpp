@@ -510,5 +510,66 @@ TEST(MultiCoreSwifiTest, FailStopEpisodesStayCleanAtFourCores) {
   }
 }
 
+
+// --- lock-free fault epochs and registration ---------------------------------
+
+// fault_epoch() reads the published epoch without the kernel lock: a thread
+// polling it on one core sees a micro-reboot performed on the other.
+TEST(MultiCoreEpochTest, PolledFaultEpochSeesCrashFromOtherCore) {
+  kernel::Kernel kern;
+  kern.set_cores(2);
+  kernel::Booter booter(kern);
+  BurnComponent victim(kern, "victim");
+  booter.capture_image(victim);
+
+  bool seen = false;
+  kern.thd_create("poller", 10, [&] {
+    for (int spin = 0; spin < 1'000'000 && !seen; ++spin) {
+      seen = kern.fault_epoch(victim.id()) == 1;
+      if (!seen) kern.yield();
+    }
+  });
+  kern.thd_create("crasher", 10, [&] { kern.inject_crash(victim.id()); });
+  kern.run();
+  EXPECT_TRUE(seen);
+  EXPECT_EQ(kern.fault_epoch(victim.id()), 1);
+}
+
+// Components registered while threads invoke on another core: the new slots
+// (a fresh slot chunk among them) are read lock-free by the invoking thread.
+TEST(MultiCoreEpochTest, CreateAppWhileThreadsInvokeAtTwoCores) {
+  components::SystemConfig config;
+  config.cores = 2;
+  components::System sys(config);
+  auto& kern = sys.kernel();
+  BurnComponent burn(kern, "burn");
+  const kernel::FnIndex fn = burn.resolve("burn");
+  constexpr int kApps = 80;  // More than one slot chunk's worth.
+
+  std::atomic<kernel::CompId> newest{kernel::kNoComp};
+  std::atomic<bool> done{false};
+  std::atomic<int> calls{0};
+  kern.thd_create("invoker", 10, [&] {
+    while (!done.load()) {
+      EXPECT_EQ(kern.invoke(kernel::kNoComp, burn.id(), fn, {}).ret, kernel::kOk);
+      EXPECT_EQ(kern.fault_epoch(newest.load()), 0);
+      calls.fetch_add(1);
+      kern.yield();
+    }
+  });
+  kern.thd_create("creator", 10, [&] {
+    for (int i = 0; i < kApps; ++i) {
+      auto& app = sys.create_app("app" + std::to_string(i));
+      newest.store(app.id());
+      EXPECT_EQ(&kern.component(app.id()), &app);
+      kern.yield();
+    }
+    done.store(true);
+  });
+  kern.run();
+  EXPECT_GT(calls.load(), 0);
+  EXPECT_EQ(kern.find_component("app" + std::to_string(kApps - 1))->id(), newest.load());
+}
+
 }  // namespace
 }  // namespace sg
