@@ -1,7 +1,7 @@
 // Golden-file tests for the code generator: the committed artifacts in
-// tests/golden/ are the expected sgidlc output for the evt and lock
-// interfaces. Any codegen change shows up as a readable diff against these
-// files (regenerate with: build/src/idl/sgidlc idl/<svc>.sgidl -o tests/golden).
+// tests/golden/ are the expected sgidlc output for all six interfaces that
+// System compiles in. Any codegen change shows up as a readable diff against
+// these files (regenerate with: build/src/idl/sgidlc idl/<svc>.sgidl -o tests/golden).
 
 #include <gtest/gtest.h>
 
@@ -35,7 +35,8 @@ TEST_P(GoldenTest, GeneratedCodeMatchesGolden) {
   EXPECT_EQ(code.spec_builder, slurp(root + "/tests/golden/" + service + "_spec.gen.cpp"));
 }
 
-INSTANTIATE_TEST_SUITE_P(Services, GoldenTest, ::testing::Values("evt", "lock"));
+INSTANTIATE_TEST_SUITE_P(Services, GoldenTest,
+                         ::testing::Values("evt", "lock", "mman", "ramfs", "sched", "tmr"));
 
 }  // namespace
 }  // namespace sg
