@@ -46,15 +46,17 @@ void BM_Invocation(benchmark::State& state) {
 }
 BENCHMARK(BM_Invocation);
 
-/// BM_Invocation through the by-name entry (Invoker::call): the cold wrapper
-/// resolves the name on every call before the index dispatch.
+/// BM_Invocation through the kernel's by-name entry (Kernel::invoke with a
+/// fn name): it resolves the name on every call before the index dispatch.
 void BM_InvocationByName(benchmark::State& state) {
   run_in_system(state, FtMode::kNone, [](benchmark::State& st, System& sys, auto& app) {
-    c3::Invoker& mman = sys.invoker(app, "mman");
-    components::MmClient mm(mman);
+    components::MmClient mm(sys.invoker(app, "mman"));
     const Value root = mm.get_page(app.id(), 0x100000);
+    const kernel::CompId mman = sys.mman().id();
     const std::string touch = "mman_touch";
-    for (auto _ : st) benchmark::DoNotOptimize(mman.call(touch, {app.id(), root}));
+    for (auto _ : st) {
+      benchmark::DoNotOptimize(sys.kernel().invoke(app.id(), mman, touch, {app.id(), root}));
+    }
   });
 }
 BENCHMARK(BM_InvocationByName);
@@ -182,8 +184,8 @@ BENCHMARK(BM_DescriptorRecovery);
 
 // --- interned-runtime primitives -------------------------------------------
 // The costs the id refactor removed from (or added to) every tracked
-// invocation: function resolution and σ-transition checks, string-keyed
-// (the old per-call path) vs. interned-id (the new one).
+// invocation: function resolution, string-keyed (the old per-call path) vs.
+// interned-id (the new one), and the σ-transition check on the id tables.
 
 void BM_FnLookupString(benchmark::State& state) {
   const c3::InterfaceSpec spec = gen::make_ramfs_spec();
@@ -209,16 +211,6 @@ void BM_FnLookupInterned(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FnLookupInterned);
-
-void BM_SigmaTransitionString(benchmark::State& state) {
-  const c3::InterfaceSpec spec = gen::make_ramfs_spec();
-  const std::string open_state = spec.sm.state_of_fn("tread");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(spec.sm.valid(open_state, "twrite"));
-    benchmark::DoNotOptimize(spec.sm.next_state(open_state, "twrite"));
-  }
-}
-BENCHMARK(BM_SigmaTransitionString);
 
 void BM_SigmaTransitionInterned(benchmark::State& state) {
   const c3::InterfaceSpec spec = gen::make_ramfs_spec();

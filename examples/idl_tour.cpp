@@ -54,7 +54,7 @@ int main() {
   std::printf("=== 1. compiling the IDL ===\n");
   const auto spec = idl::compile_source(idl_source, "mq.sgidl");
   std::printf("service '%s' compiled: %zu interface fns, |S| = %zu states\n\n",
-              spec.service.c_str(), spec.fns.size(), spec.sm.state_count());
+              spec.service.c_str(), spec.fns.size(), spec.sm.live_state_count());
 
   std::printf("=== 2. the descriptor-resource model the compiler extracted ===\n");
   std::printf("  B_r=%d  D_r=%d  G_dr=%d  P_dr=%s  C_dr=%d  Y_dr=%d  D_dr=%d\n", spec.desc_block,
@@ -64,13 +64,14 @@ int main() {
 
   std::printf("=== 3. inferred states and precomputed R0 recovery walks ===\n");
   for (const auto& state : spec.sm.states()) {
+    const c3::StateId id = spec.sm.state_id(state);
     std::printf("  state %-14s walk: [", state.c_str());
     bool first = true;
-    for (const auto& fn : spec.sm.recovery_walk(state)) {
-      std::printf("%s%s", first ? "" : ", ", fn.c_str());
+    for (const c3::FnId fn : spec.sm.recovery_walk_ids(id)) {
+      std::printf("%s%s", first ? "" : ", ", spec.sm.fn_name(fn).c_str());
       first = false;
     }
-    std::printf("] -> %s\n", spec.sm.reached_state(state).c_str());
+    std::printf("] -> %s\n", spec.sm.state_name(spec.sm.reached_state_id(id)).c_str());
   }
   std::printf("  (mq_recv is sm_consume: a consumed receive is never replayed)\n\n");
 

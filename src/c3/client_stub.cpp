@@ -75,10 +75,6 @@ StubStats ClientStub::stats() const {
   return snapshot;
 }
 
-Value ClientStub::call(const std::string& fn_name, const Args& args) {
-  return call_id(resolve(fn_name), args);
-}
-
 FnId ClientStub::resolve(const std::string& fn) {
   const FnId id = rt_.fn_id(fn);
   SG_ASSERT_MSG(id != kNoFn, spec_.service + ": unknown interface fn " + fn);

@@ -50,10 +50,6 @@ class ClientStub final : public Invoker {
   ClientStub(const ClientStub&) = delete;
   ClientStub& operator=(const ClientStub&) = delete;
 
-  /// Invokes `fn` through the fault-aware stub path (string compatibility
-  /// entry: one interned-id lookup, then call_id).
-  kernel::Value call(const std::string& fn, const kernel::Args& args) override;
-
   /// Interns into the spec's declaration-order fn id space.
   FnId resolve(const std::string& fn) override;
 

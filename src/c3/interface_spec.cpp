@@ -284,8 +284,10 @@ void InterfaceSpec::validate() const {
   };
   check_replayable(creation_fn());
   for (const auto& restore_name : sm.restore_fns()) check_replayable(fn(restore_name));
-  for (const auto& state : sm.states()) {
-    for (const auto& walk_fn : sm.recovery_walk(state)) check_replayable(fn(walk_fn));
+  for (std::size_t s = 0; s < sm.live_state_count(); ++s) {
+    for (const FnId walk_fn : sm.recovery_walk_ids(static_cast<StateId>(s))) {
+      check_replayable(fn(sm.fn_name(walk_fn)));
+    }
   }
 
   // Building the compiled runtime enforces the remaining interning limits

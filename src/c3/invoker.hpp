@@ -14,14 +14,12 @@ namespace sg::c3 {
 ///   - c3stubs::*Stub     : hand-written C3 recovery stubs,
 ///   - c3::ClientStub     : SuperGlue-generated/interpreted stubs.
 ///
-/// Callers resolve each function name once (`resolve`) and invoke by the
-/// returned dense id (`call_id`) from then on, keeping string hashing off
-/// the per-invocation path. The string `call` remains as a compatibility
-/// entry point.
+/// Callers resolve each function name once, when they bind to the invoker
+/// (`resolve`), and invoke by the returned dense id (`call_id`) from then
+/// on, so no string is hashed on the per-invocation path.
 class Invoker {
  public:
   virtual ~Invoker() = default;
-  virtual kernel::Value call(const std::string& fn, const kernel::Args& args) = 0;
 
   /// Interns `fn` into this invoker's id space.
   virtual FnId resolve(const std::string& fn) = 0;
@@ -38,10 +36,6 @@ class PassthroughInvoker final : public Invoker {
  public:
   PassthroughInvoker(kernel::Kernel& kernel, kernel::CompId client, kernel::CompId server)
       : kernel_(kernel), client_(client), server_(server) {}
-
-  kernel::Value call(const std::string& fn, const kernel::Args& args) override {
-    return result(kernel_.invoke(client_, server_, fn, args));
-  }
 
   FnId resolve(const std::string& fn) override { return kernel_.component(server_).resolve(fn); }
 

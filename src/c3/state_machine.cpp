@@ -146,19 +146,13 @@ void DescStateMachine::finalize() {
   }
   walk_ids_.resize(live_count);
   walk_lands_.assign(live_count, kStateInitial);
-  walk_names_.resize(live_count);
   for (StateId state = 0; state < closed_state_; ++state) {
     auto it = best.find(state);
-    if (it != best.end()) {
-      walk_ids_[static_cast<std::size_t>(state)] = it->second;
-      walk_lands_[static_cast<std::size_t>(state)] = state;
-    }
-    // else: unreachable without closing the descriptor — recover to s0 (the
-    // empty walk) and let the client's in-flight redo drive the rest.
-    for (const FnId fn : walk_ids_[static_cast<std::size_t>(state)]) {
-      walk_names_[static_cast<std::size_t>(state)].push_back(
-          fn_names_[static_cast<std::size_t>(fn)]);
-    }
+    // Unreachable without closing the descriptor: recover to s0 (the empty
+    // walk) and let the client's in-flight redo drive the rest.
+    if (it == best.end()) continue;
+    walk_ids_[static_cast<std::size_t>(state)] = it->second;
+    walk_lands_[static_cast<std::size_t>(state)] = state;
   }
 
   for (const auto& fn : restore_) restore_ids_.push_back(fn_ids_.at(fn));
@@ -168,12 +162,6 @@ void DescStateMachine::finalize() {
 
 void DescStateMachine::require_finalized() const {
   SG_ASSERT_MSG(finalized_, "DescStateMachine used before finalize()");
-}
-
-FnId DescStateMachine::require_fn(const std::string& fn) const {
-  const FnId id = fn_id(fn);
-  SG_ASSERT_MSG(id != kNoFn, "unknown fn: " + fn);
-  return id;
 }
 
 // --- interned id API ---------------------------------------------------------
@@ -242,49 +230,11 @@ StateId DescStateMachine::reached_state_id(StateId state) const {
   return walk_lands_[static_cast<std::size_t>(state)];
 }
 
-// --- string compatibility API ------------------------------------------------
-
-std::string DescStateMachine::next_state(const std::string& state, const std::string& fn) const {
-  require_finalized();
-  (void)state;
-  return state_name(next_state_id(require_fn(fn)));
-}
-
-bool DescStateMachine::valid(const std::string& state, const std::string& fn) const {
-  require_finalized();
-  return valid(state_id(state), fn_id(fn));
-}
-
-std::string DescStateMachine::state_after_creation(const std::string& create_fn) const {
-  require_finalized();
-  SG_ASSERT_MSG(creation_.count(create_fn) != 0, create_fn + " is not a creation fn");
-  return kInitial;
-}
-
-const std::vector<std::string>& DescStateMachine::recovery_walk(const std::string& state) const {
-  require_finalized();
-  const StateId id = state_id(state);
-  SG_ASSERT_MSG(id != kNoState && id < closed_state_, "no recovery walk for state " + state);
-  return walk_names_[static_cast<std::size_t>(id)];
-}
-
-const std::string& DescStateMachine::reached_state(const std::string& state) const {
-  require_finalized();
-  const StateId id = state_id(state);
-  SG_ASSERT_MSG(id != kNoState && id < closed_state_, "no walk target for state " + state);
-  return state_name(walk_lands_[static_cast<std::size_t>(id)]);
-}
-
 std::vector<std::string> DescStateMachine::states() const {
   require_finalized();
   std::vector<std::string> out(state_names_.begin(), state_names_.end() - 1);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-const std::string& DescStateMachine::state_of_fn(const std::string& fn) const {
-  require_finalized();
-  return state_name(next_state_id(require_fn(fn)));
 }
 
 }  // namespace sg::c3

@@ -28,9 +28,8 @@ namespace sg::c3 {
 ///
 /// finalize() also *interns* the machine: every function and state name gets
 /// a dense id, and σ, validity, and the recovery walks become flat
-/// id-indexed tables. The string-keyed query API below is a compatibility
-/// shim over those tables — hot paths (the stub engine, the compiled
-/// InterfaceSpec runtime) use the id API exclusively.
+/// id-indexed tables. Every query is by id; callers resolve a name once
+/// (fn_id/state_id) and map ids back with fn_name/state_name.
 class DescStateMachine {
  public:
   /// Well-known state names.
@@ -72,7 +71,7 @@ class DescStateMachine {
   void finalize();
   bool finalized() const { return finalized_; }
 
-  // --- interned id API (hot path) ------------------------------------------
+  // --- interned id API -------------------------------------------------------
   // Fn ids are assigned in sorted-name order over every function the machine
   // mentions; state ids put s0 first (kStateInitial == 0), the remaining
   // live states in sorted order, and the closed pseudo-state last. Both
@@ -90,56 +89,30 @@ class DescStateMachine {
   /// Number of live states (excluding sf/closed) — the |S| of Eq. (2).
   std::size_t live_state_count() const;
 
-  /// Fault-detection half in id space: σ-validity of `fn` out of `state`.
+  /// Fault-detection half of the model (§III-B motivation #1): is `fn` a
+  /// legal transition out of `state`? False for unknown ids. Creation fns
+  /// are checked separately: they are valid only before a descriptor exists.
   bool valid(StateId state, FnId fn) const;
   /// σ(·, fn): the state a descriptor enters when `fn` completes (the
   /// machine's states are "after f" classes, so σ depends only on the fn).
   /// closed_state() for terminal fns.
   StateId next_state_id(FnId fn) const;
-  /// Precomputed R0 walk from s0 to `state`, as interface fn ids.
+  /// The precomputed R0 walk: the (possibly empty) fn sequence that takes a
+  /// *recreated* descriptor (creation fn and sm_restore fns already
+  /// replayed) from s0 to `state`. A state reachable only by closing or
+  /// consuming gets the empty walk; reached_state_id() tells where it lands.
   const std::vector<FnId>& recovery_walk_ids(StateId state) const;
-  /// Where recovery_walk_ids(state) actually lands.
+  /// Where recovery_walk_ids(state) actually lands (== state unless no walk
+  /// reaches it).
   StateId reached_state_id(StateId state) const;
   const std::vector<FnId>& restore_fn_ids() const { require_finalized(); return restore_ids_; }
 
-  // --- string compatibility API (cold path: tests, codegen, diagnostics) ---
-
-  /// σ(state, fn): the state a descriptor enters when `fn` completes on it.
-  /// Returns kClosed for terminal fns. Precondition: valid(state, fn).
-  std::string next_state(const std::string& state, const std::string& fn) const;
-
-  /// Fault-detection half of the model (§III-B motivation #1): is `fn` a
-  /// legal transition out of `state`? Creation fns are only valid "before"
-  /// a descriptor exists and are checked separately.
-  bool valid(const std::string& state, const std::string& fn) const;
-
-  /// State a freshly created descriptor is in after `create_fn` returns.
-  std::string state_after_creation(const std::string& create_fn) const;
-
-  /// The precomputed R0 walk: the (possibly empty) sequence of non-blocking
-  /// interface functions that transits a *recreated* descriptor (already
-  /// re-created via its creation fn and sm_restore fns) from s0 to `state`.
-  /// If `state` is only reachable through a blocking edge, the walk stops at
-  /// the last reachable state before the block; reached_state() tells where
-  /// the walk lands.
-  const std::vector<std::string>& recovery_walk(const std::string& state) const;
-
-  /// Where recovery_walk(state) actually lands (== state unless the full
-  /// path requires a blocking function).
-  const std::string& reached_state(const std::string& state) const;
-
-  /// All inferred states (after merging), excluding sf/closed, sorted.
+  /// All inferred live states (excluding sf/closed), sorted by name — the
+  /// order the generated C state enum lists them in.
   std::vector<std::string> states() const;
-
-  /// The merged state name that executing `fn` leads to.
-  const std::string& state_of_fn(const std::string& fn) const;
-
-  /// Number of states (excluding sf/closed) — the |S| of Eq. (2).
-  std::size_t state_count() const { return live_state_count(); }
 
  private:
   void require_finalized() const;
-  FnId require_fn(const std::string& fn) const;
 
   // Build inputs (retained for the *_fns() accessors and codegen).
   std::set<std::string> creation_;
@@ -163,7 +136,6 @@ class DescStateMachine {
   std::vector<std::uint8_t> valid_;            ///< live_states × fns validity matrix.
   std::vector<std::vector<FnId>> walk_ids_;    ///< Per live state: R0 walk as fn ids.
   std::vector<StateId> walk_lands_;            ///< Per live state: where the walk lands.
-  std::vector<std::vector<std::string>> walk_names_;  ///< String shim of walk_ids_.
   std::vector<FnId> restore_ids_;
 };
 

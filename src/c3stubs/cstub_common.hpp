@@ -21,8 +21,7 @@ namespace sg::c3stubs {
 /// resulting table indices are the stub's FnIds, so the hot entry point is
 /// `call_id` with a switch on a dense enum. The table holds the server's
 /// handler indices, resolved at construction, so an invocation dispatches
-/// by index. The string `call` entry is a compatibility shim: one name
-/// lookup to resolve, then the id path.
+/// by index.
 class C3StubBase : public c3::Invoker {
  public:
   /// Interns `fn` into this stub's fixed fn table (ids == table indices).
@@ -33,11 +32,6 @@ class C3StubBase : public c3::Invoker {
     }
     SG_ASSERT_MSG(false, "c3 stub: unknown fn " + fn);
     __builtin_unreachable();
-  }
-
-  /// String compatibility entry: resolve once, then dispatch by id.
-  kernel::Value call(const std::string& fn, const kernel::Args& args) override {
-    return call_id(resolve(fn), args);
   }
 
   /// The per-service dispatch switch; every manual stub implements this.

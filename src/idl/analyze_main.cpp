@@ -31,8 +31,9 @@ namespace {
 /// client-workload property — reported separately as "per ancestor".
 int worst_case_steps(const sg::c3::InterfaceSpec& spec) {
   std::size_t longest_walk = 0;
-  for (const auto& state : spec.sm.states()) {
-    longest_walk = std::max(longest_walk, spec.sm.recovery_walk(state).size());
+  for (std::size_t s = 0; s < spec.sm.live_state_count(); ++s) {
+    longest_walk = std::max(
+        longest_walk, spec.sm.recovery_walk_ids(static_cast<sg::c3::StateId>(s)).size());
   }
   int steps = 1 + static_cast<int>(spec.sm.restore_fns().size()) +
               static_cast<int>(longest_walk);
@@ -61,8 +62,9 @@ int main(int argc, char** argv) {
       std::size_t longest_walk = 0;
       std::string longest_state;
       for (const auto& state : spec.sm.states()) {
-        if (spec.sm.recovery_walk(state).size() >= longest_walk) {
-          longest_walk = spec.sm.recovery_walk(state).size();
+        const std::size_t walk = spec.sm.recovery_walk_ids(spec.sm.state_id(state)).size();
+        if (walk >= longest_walk) {
+          longest_walk = walk;
           longest_state = state;
         }
       }
@@ -71,7 +73,7 @@ int main(int argc, char** argv) {
                     spec.resc_has_data, spec.desc_is_global, to_string(spec.parent),
                     spec.desc_close_children, spec.desc_close_remove, spec.desc_has_data);
       table.add_row({spec.service, model, to_string(spec.mechanisms()),
-                     std::to_string(spec.sm.state_count()),
+                     std::to_string(spec.sm.live_state_count()),
                      std::to_string(longest_walk) + " (" + longest_state + ")",
                      std::to_string(worst_case_steps(spec)) + " (+depth per D1 ancestor)"});
     } catch (const sg::idl::IdlError& error) {

@@ -241,10 +241,8 @@ GeneratedCode CodeGenerator::generate() {
       << "#include <" << svc << ".h>\n"
       << "\n"
       << "/* runtime support resolved against the C3 stub library; hot paths\n"
-      << " * are keyed by interned fn ids (see the fn-id enum below), with a\n"
-      << " * name-based entry kept as a compatibility shim. */\n"
+      << " * are keyed by interned fn ids (see the fn-id enum below). */\n"
       << "extern long sg_invoke_id(spdid_t spd, int fn, long *args);\n"
-      << "extern long sg_invoke(spdid_t spd, const char *fn, long *args); /* compat shim */\n"
       << "extern long cos_fault_cnt(spdid_t spd);\n"
       << "extern void sg_replay_args_from_model(void *tb, int fn, long *args);\n"
       << "extern int sg_sm_valid_transition(int state, int fn);\n"
@@ -307,7 +305,9 @@ GeneratedCode CodeGenerator::generate() {
     for (const auto& state : s.sm.states()) {
       c << "\t/* " << state << " -> */ {";
       std::vector<std::string> steps;
-      for (const auto& fn : s.sm.recovery_walk(state)) steps.push_back(fn_tag(fn));
+      for (const c3::FnId fn : s.sm.recovery_walk_ids(s.sm.state_id(state))) {
+        steps.push_back(fn_tag(s.sm.fn_name(fn)));
+      }
       steps.push_back("-1");
       c << join(steps, ", ") << "},\n";
     }
@@ -725,11 +725,12 @@ GeneratedCode CodeGenerator::generate() {
     // Reconstruct transitions from the finalized machine: for each state,
     // every (member fn -> outgoing fn) edge.
     for (const auto& state : s.sm.states()) {
+      const c3::StateId state_id = s.sm.state_id(state);
       for (const auto& fn : s.fns) {
         if (s.sm.is_terminal(fn.name)) continue;
-        if (s.sm.state_of_fn(fn.name) != state) continue;
+        if (s.sm.next_state_id(s.sm.fn_id(fn.name)) != state_id) continue;
         for (const auto& other : s.fns) {
-          if (s.sm.valid(state, other.name)) {
+          if (s.sm.valid(state_id, s.sm.fn_id(other.name))) {
             p << "  sm.add_transition(\"" << fn.name << "\", \"" << other.name << "\");\n";
           }
         }

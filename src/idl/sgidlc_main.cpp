@@ -39,15 +39,16 @@ void dump_model(const sg::c3::InterfaceSpec& spec) {
             << "  Y_dr (desc_close_remove)   = " << spec.desc_close_remove << "\n"
             << "  D_dr (desc_has_data)       = " << spec.desc_has_data << "\n"
             << "  mechanisms: " << to_string(spec.mechanisms()) << "\n"
-            << "  states (|S| = " << spec.sm.state_count() << "):\n";
+            << "  states (|S| = " << spec.sm.live_state_count() << "):\n";
   for (const auto& state : spec.sm.states()) {
+    const sg::c3::StateId id = spec.sm.state_id(state);
     std::cout << "    " << state << " : walk = [";
     bool first = true;
-    for (const auto& fn : spec.sm.recovery_walk(state)) {
-      std::cout << (first ? "" : ", ") << fn;
+    for (const sg::c3::FnId fn : spec.sm.recovery_walk_ids(id)) {
+      std::cout << (first ? "" : ", ") << spec.sm.fn_name(fn);
       first = false;
     }
-    std::cout << "] -> " << spec.sm.reached_state(state) << "\n";
+    std::cout << "] -> " << spec.sm.state_name(spec.sm.reached_state_id(id)) << "\n";
   }
 }
 

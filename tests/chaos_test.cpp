@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "c3/storage.hpp"
 #include "c3stubs/c3_stubs.hpp"
 #include "components/system.hpp"
@@ -42,8 +44,8 @@ TEST_P(ChaosTest, EverythingEverywhereAllAtOnce) {
   auto& evt_app_b = sys.create_app("evt-b");
   auto& mm_app = sys.create_app("mm-app");
 
-  int violations = 0;
-  bool done = false;
+  std::atomic<int> violations{0};
+  std::atomic<bool> done{false};
   constexpr int kRounds = 120;
 
   // --- file worker: write/readback cycles over 4 files ----------------------
@@ -71,8 +73,8 @@ TEST_P(ChaosTest, EverythingEverywhereAllAtOnce) {
 
   // --- lock workers: mutual exclusion under crash storm ----------------------
   auto lock = std::make_shared<components::LockClient>(sys.invoker(lock_app, "lock"), kern);
-  auto lock_id = std::make_shared<Value>(0);
-  auto in_critical = std::make_shared<int>(0);
+  auto lock_id = std::make_shared<std::atomic<Value>>(0);
+  auto in_critical = std::make_shared<std::atomic<int>>(0);
   for (int worker = 0; worker < 2; ++worker) {
     kern.thd_create("lock-worker", 10, [&, worker] {
       if (worker == 0) *lock_id = lock->alloc(lock_app.id());
@@ -92,7 +94,7 @@ TEST_P(ChaosTest, EverythingEverywhereAllAtOnce) {
   }
 
   // --- event pipeline: exact trigger accounting ------------------------------
-  auto evtid = std::make_shared<Value>(0);
+  auto evtid = std::make_shared<std::atomic<Value>>(0);
   kern.thd_create("evt-waiter", 10, [&] {
     components::EvtClient evt(sys.invoker(evt_app_a, "evt"));
     *evtid = evt.split(evt_app_a.id());
@@ -145,7 +147,7 @@ TEST_P(ChaosTest, EverythingEverywhereAllAtOnce) {
   });
 
   kern.run();
-  EXPECT_EQ(violations, 0);
+  EXPECT_EQ(violations.load(), 0);
   EXPECT_GT(kern.total_reboots(), 5);  // The storm actually happened.
 }
 
@@ -166,13 +168,13 @@ TEST_P(ChaosTest, BackToBackBurstFaults) {
   auto& evt_app_a = sys.create_app("evt-a");
   auto& evt_app_b = sys.create_app("evt-b");
 
-  int violations = 0;
-  bool done = false;
+  std::atomic<int> violations{0};
+  std::atomic<bool> done{false};
   constexpr int kRounds = 100;
 
   auto lock = std::make_shared<components::LockClient>(sys.invoker(lock_app, "lock"), kern);
-  auto lock_id = std::make_shared<Value>(0);
-  auto in_critical = std::make_shared<int>(0);
+  auto lock_id = std::make_shared<std::atomic<Value>>(0);
+  auto in_critical = std::make_shared<std::atomic<int>>(0);
   for (int worker = 0; worker < 2; ++worker) {
     kern.thd_create("lock-worker", 10, [&, worker] {
       if (worker == 0) *lock_id = lock->alloc(lock_app.id());
@@ -191,7 +193,7 @@ TEST_P(ChaosTest, BackToBackBurstFaults) {
     });
   }
 
-  auto evtid = std::make_shared<Value>(0);
+  auto evtid = std::make_shared<std::atomic<Value>>(0);
   kern.thd_create("evt-waiter", 10, [&] {
     components::EvtClient evt(sys.invoker(evt_app_a, "evt"));
     *evtid = evt.split(evt_app_a.id());
@@ -228,7 +230,7 @@ TEST_P(ChaosTest, BackToBackBurstFaults) {
   });
 
   kern.run();
-  EXPECT_EQ(violations, 0);
+  EXPECT_EQ(violations.load(), 0);
   EXPECT_GT(kern.total_reboots(), 5);
 }
 
@@ -250,9 +252,9 @@ TEST_P(ChaosTest, StorageFaultsConcurrentWithServiceRecovery) {
   auto& fs_app = sys.create_app("fs-app");
   auto& lock_app = sys.create_app("lock-app");
 
-  int violations = 0;
+  std::atomic<int> violations{0};
   int data_losses = 0;
-  bool done = false;
+  std::atomic<bool> done{false};
   constexpr int kRounds = 120;
 
   kern.thd_create("fs-worker", 10, [&] {
@@ -278,8 +280,8 @@ TEST_P(ChaosTest, StorageFaultsConcurrentWithServiceRecovery) {
   });
 
   auto lock = std::make_shared<components::LockClient>(sys.invoker(lock_app, "lock"), kern);
-  auto lock_id = std::make_shared<Value>(0);
-  auto in_critical = std::make_shared<int>(0);
+  auto lock_id = std::make_shared<std::atomic<Value>>(0);
+  auto in_critical = std::make_shared<std::atomic<int>>(0);
   for (int worker = 0; worker < 2; ++worker) {
     kern.thd_create("lock-worker", 10, [&, worker] {
       if (worker == 0) *lock_id = lock->alloc(lock_app.id());
@@ -315,7 +317,7 @@ TEST_P(ChaosTest, StorageFaultsConcurrentWithServiceRecovery) {
   });
 
   kern.run();
-  EXPECT_EQ(violations, 0);
+  EXPECT_EQ(violations.load(), 0);
   if (data_losses > 0) {
     EXPECT_TRUE(sys.coordinator().degraded())
         << data_losses << " silent data losses without a degraded flag";

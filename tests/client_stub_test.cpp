@@ -30,9 +30,12 @@ TEST(ClientStubTest, StatsCountTrackingAndRecovery) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "lock");
-    const Value id = stub.call("lock_alloc", {app.id()});
-    stub.call("lock_take", {app.id(), id, sys.kernel().current_thread()});
-    stub.call("lock_release", {app.id(), id});
+    const c3::FnId lock_alloc = stub.resolve("lock_alloc");
+    const c3::FnId lock_take = stub.resolve("lock_take");
+    const c3::FnId lock_release = stub.resolve("lock_release");
+    const Value id = stub.call_id(lock_alloc, {app.id()});
+    stub.call_id(lock_take, {app.id(), id, sys.kernel().current_thread()});
+    stub.call_id(lock_release, {app.id(), id});
 
     const auto& stats = stub.stats();
     EXPECT_EQ(stats.calls, 3u);
@@ -41,7 +44,7 @@ TEST(ClientStubTest, StatsCountTrackingAndRecovery) {
     EXPECT_EQ(stats.recoveries, 0u);
 
     sys.kernel().inject_crash(sys.lock().id());
-    stub.call("lock_take", {app.id(), id, sys.kernel().current_thread()});
+    stub.call_id(lock_take, {app.id(), id, sys.kernel().current_thread()});
     EXPECT_EQ(stub.stats().recoveries, 1u);
     EXPECT_GE(stub.stats().walk_fns, 0u);
   });
@@ -52,10 +55,12 @@ TEST(ClientStubTest, InvalidTransitionIsDetected) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "lock");
-    const Value id = stub.call("lock_alloc", {app.id()});
+    const c3::FnId lock_alloc = stub.resolve("lock_alloc");
+    const c3::FnId lock_release = stub.resolve("lock_release");
+    const Value id = stub.call_id(lock_alloc, {app.id()});
     // Releasing a lock that was never taken: invalid from s0 — the state
     // machine's fault-detection half rejects it client-side (§III-B).
-    EXPECT_EQ(stub.call("lock_release", {app.id(), id}), kernel::kErrInval);
+    EXPECT_EQ(stub.call_id(lock_release, {app.id(), id}), kernel::kErrInval);
     EXPECT_EQ(stub.stats().invalid_transitions, 1u);
   });
 }
@@ -65,15 +70,19 @@ TEST(ClientStubTest, DescriptorStateFollowsCompletionOrder) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "lock");
-    const Value id = stub.call("lock_alloc", {app.id()});
+    const c3::FnId lock_alloc = stub.resolve("lock_alloc");
+    const c3::FnId lock_take = stub.resolve("lock_take");
+    const c3::FnId lock_release = stub.resolve("lock_release");
+    const c3::FnId lock_free = stub.resolve("lock_free");
+    const Value id = stub.call_id(lock_alloc, {app.id()});
     const auto* desc = stub.table().find(id);
     ASSERT_NE(desc, nullptr);
     EXPECT_EQ(desc->state, c3::kStateInitial);
-    stub.call("lock_take", {app.id(), id, sys.kernel().current_thread()});
+    stub.call_id(lock_take, {app.id(), id, sys.kernel().current_thread()});
     EXPECT_EQ(stub.table().find(id)->state, stub.spec().sm.state_id("after_lock_take"));
-    stub.call("lock_release", {app.id(), id});
+    stub.call_id(lock_release, {app.id(), id});
     EXPECT_EQ(stub.table().find(id)->state, c3::kStateInitial);
-    stub.call("lock_free", {app.id(), id});
+    stub.call_id(lock_free, {app.id(), id});
     EXPECT_EQ(stub.table().find(id), nullptr);  // Terminal removes tracking.
   });
 }
@@ -83,7 +92,8 @@ TEST(ClientStubTest, FailedCreationIsNotTracked) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "tmr");
-    const Value bad = stub.call("tmr_setup", {app.id(), /*period=*/-5});
+    const c3::FnId tmr_setup = stub.resolve("tmr_setup");
+    const Value bad = stub.call_id(tmr_setup, {app.id(), /*period=*/-5});
     EXPECT_LT(bad, 0);
     EXPECT_EQ(stub.table().size(), 0u);
     EXPECT_EQ(stub.stats().tracked_creates, 0u);
@@ -95,11 +105,13 @@ TEST(ClientStubTest, ErrorReturnsDoNotTransitionState) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "ramfs");
-    const Value fd = stub.call("tsplit", {app.id(), 0, 777});
+    const c3::FnId tsplit = stub.resolve("tsplit");
+    const c3::FnId tlseek = stub.resolve("tlseek");
+    const Value fd = stub.call_id(tsplit, {app.id(), 0, 777});
     const c3::StateId before = stub.table().find(fd)->state;
     const c3::FieldId offset = stub.spec().field_id("offset");
     ASSERT_NE(offset, c3::kNoField);
-    EXPECT_EQ(stub.call("tlseek", {app.id(), fd, -1}), kernel::kErrInval);
+    EXPECT_EQ(stub.call_id(tlseek, {app.id(), fd, -1}), kernel::kErrInval);
     EXPECT_EQ(stub.table().find(fd)->state, before);
     EXPECT_FALSE(stub.table().find(fd)->has_field(offset));
   });
@@ -112,8 +124,9 @@ TEST(ClientStubTest, SeparateClientsHaveSeparateTables) {
   test::run_thread(sys, [&] {
     auto& stub_a = sys.coordinator().client_stub(app_a, "lock");
     auto& stub_b = sys.coordinator().client_stub(app_b, "lock");
+    const c3::FnId lock_alloc = stub_a.resolve("lock_alloc");
     EXPECT_NE(&stub_a, &stub_b);
-    stub_a.call("lock_alloc", {app_a.id()});
+    stub_a.call_id(lock_alloc, {app_a.id()});
     EXPECT_EQ(stub_a.table().size(), 1u);
     EXPECT_EQ(stub_b.table().size(), 0u);
   });
@@ -124,7 +137,8 @@ TEST(ClientStubTest, RecreateByVidServesUpcalls) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "evt");
-    const Value evtid = stub.call("evt_split", {app.id(), 0, 0});
+    const c3::FnId evt_split = stub.resolve("evt_split");
+    const Value evtid = stub.call_id(evt_split, {app.id(), 0, 0});
     sys.kernel().inject_crash(sys.evt().id());
     EXPECT_FALSE(sys.evt().event_exists(evtid));
     EXPECT_EQ(stub.recreate_by_vid(evtid), kernel::kOk);
@@ -157,8 +171,9 @@ TEST(ClientStubTest, EagerRecoverAllRestoresEverything) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "lock");
+    const c3::FnId lock_alloc = stub.resolve("lock_alloc");
     std::vector<Value> ids;
-    for (int i = 0; i < 5; ++i) ids.push_back(stub.call("lock_alloc", {app.id()}));
+    for (int i = 0; i < 5; ++i) ids.push_back(stub.call_id(lock_alloc, {app.id()}));
     sys.kernel().inject_crash(sys.lock().id());
     EXPECT_EQ(sys.lock().lock_count(), 0u);
     stub.recover_all();
@@ -174,8 +189,10 @@ TEST(ClientStubTest, ForeignDescriptorsPassThroughUntracked) {
   test::run_thread(sys, [&] {
     auto& creator_stub = sys.coordinator().client_stub(creator, "evt");
     auto& user_stub = sys.coordinator().client_stub(user, "evt");
-    const Value evtid = creator_stub.call("evt_split", {creator.id(), 0, 0});
-    EXPECT_EQ(user_stub.call("evt_trigger", {user.id(), evtid}), kernel::kOk);
+    const c3::FnId evt_split = creator_stub.resolve("evt_split");
+    const c3::FnId evt_trigger = user_stub.resolve("evt_trigger");
+    const Value evtid = creator_stub.call_id(evt_split, {creator.id(), 0, 0});
+    EXPECT_EQ(user_stub.call_id(evt_trigger, {user.id(), evtid}), kernel::kOk);
     EXPECT_EQ(user_stub.table().size(), 0u);  // Not its descriptor.
     EXPECT_EQ(creator_stub.table().size(), 1u);
   });
@@ -197,7 +214,9 @@ TEST(ClientStubTest, ForeignDescriptorRedoesAfterRebootDuringCall) {
   test::run_thread(sys, [&] {
     auto& creator_stub = sys.coordinator().client_stub(creator, "evt");
     auto& user_stub = sys.coordinator().client_stub(user, "evt");
-    const Value evtid = creator_stub.call("evt_split", {creator.id(), 0, 0});
+    const c3::FnId evt_split = creator_stub.resolve("evt_split");
+    const c3::FnId evt_trigger = user_stub.resolve("evt_trigger");
+    const Value evtid = creator_stub.call_id(evt_split, {creator.id(), 0, 0});
     const std::string upcall = c3::ClientStub::recreate_fn_name("evt");
     auto recreate = creator.replace_fn(upcall, nullptr);
     creator.replace_fn(upcall, [&, recreate](kernel::CallCtx& ctx, const kernel::Args& args) {
@@ -206,7 +225,7 @@ TEST(ClientStubTest, ForeignDescriptorRedoesAfterRebootDuringCall) {
       return ret;
     });
     sys.kernel().inject_crash(sys.evt().id());
-    EXPECT_EQ(user_stub.call("evt_trigger", {user.id(), evtid}), kernel::kOk);
+    EXPECT_EQ(user_stub.call_id(evt_trigger, {user.id(), evtid}), kernel::kOk);
     EXPECT_FALSE(crash_armed);
     EXPECT_EQ(user_stub.stats().redos, 1u);
   });
@@ -219,11 +238,14 @@ TEST(ClientStubTest, EpochDetectionWithoutFaultFlag) {
   auto& app = sys.create_app("app");
   test::run_thread(sys, [&] {
     auto& stub = sys.coordinator().client_stub(app, "lock");
-    const Value id = stub.call("lock_alloc", {app.id()});
-    stub.call("lock_take", {app.id(), id, sys.kernel().current_thread()});
+    const c3::FnId lock_alloc = stub.resolve("lock_alloc");
+    const c3::FnId lock_take = stub.resolve("lock_take");
+    const c3::FnId lock_release = stub.resolve("lock_release");
+    const Value id = stub.call_id(lock_alloc, {app.id()});
+    stub.call_id(lock_take, {app.id(), id, sys.kernel().current_thread()});
     sys.kernel().inject_crash(sys.lock().id());  // No in-flight call of ours.
     // Next call sees a stale epoch, recovers (re-takes), then releases.
-    EXPECT_EQ(stub.call("lock_release", {app.id(), id}), kernel::kOk);
+    EXPECT_EQ(stub.call_id(lock_release, {app.id(), id}), kernel::kOk);
     EXPECT_EQ(stub.stats().recoveries, 1u);
   });
 }

@@ -57,11 +57,16 @@ void expect_equivalent(const InterfaceSpec& a, const InterfaceSpec& b) {
   EXPECT_EQ(a.sm.terminal_fns(), b.sm.terminal_fns());
   EXPECT_EQ(a.sm.block_fns(), b.sm.block_fns());
   EXPECT_EQ(a.sm.wakeup_fns(), b.sm.wakeup_fns());
+  // States and fns pair up by name, so the two machines' interning is
+  // cross-checked rather than assumed.
   for (const auto& state : a.sm.states()) {
-    EXPECT_EQ(a.sm.recovery_walk(state), b.sm.recovery_walk(state)) << a.service << " " << state;
-    EXPECT_EQ(a.sm.reached_state(state), b.sm.reached_state(state));
+    const c3::StateId sa = a.sm.state_id(state);
+    const c3::StateId sb = b.sm.state_id(state);
+    EXPECT_EQ(test::walk_names(a.sm, sa), test::walk_names(b.sm, sb)) << a.service << " " << state;
+    EXPECT_EQ(a.sm.state_name(a.sm.reached_state_id(sa)),
+              b.sm.state_name(b.sm.reached_state_id(sb)));
     for (const auto& fn : a.fns) {
-      EXPECT_EQ(a.sm.valid(state, fn.name), b.sm.valid(state, fn.name))
+      EXPECT_EQ(a.sm.valid(sa, a.sm.fn_id(fn.name)), b.sm.valid(sb, b.sm.fn_id(fn.name)))
           << a.service << ": sigma(" << state << ", " << fn.name << ")";
     }
   }
@@ -239,8 +244,8 @@ TEST(IdlModelTest, MechanismSetsMatchPaperClaims) {
 
 TEST(IdlModelTest, LockWalkReacquiresTakenLock) {
   const auto spec = compile_idl("lock");
-  const auto& taken = spec.sm.state_of_fn("lock_take");
-  EXPECT_EQ(spec.sm.recovery_walk(taken), (std::vector<std::string>{"lock_take"}));
+  const c3::StateId taken = spec.sm.next_state_id(spec.sm.fn_id("lock_take"));
+  EXPECT_EQ(test::walk_names(spec.sm, taken), (std::vector<std::string>{"lock_take"}));
 }
 
 TEST(IdlModelTest, RamfsRecoversViaOpenAndLseek) {
@@ -248,15 +253,17 @@ TEST(IdlModelTest, RamfsRecoversViaOpenAndLseek) {
   // (every live state merges with s0) and tlseek is the restore fn.
   const auto spec = compile_idl("ramfs");
   EXPECT_EQ(spec.sm.restore_fns(), (std::vector<std::string>{"tlseek"}));
-  for (const auto& state : spec.sm.states()) {
-    EXPECT_TRUE(spec.sm.recovery_walk(state).empty());
+  for (std::size_t s = 0; s < spec.sm.live_state_count(); ++s) {
+    EXPECT_TRUE(spec.sm.recovery_walk_ids(static_cast<c3::StateId>(s)).empty());
   }
 }
 
 TEST(IdlModelTest, EvtWaitIsNeverReplayed) {
   const auto spec = compile_idl("evt");
-  for (const auto& state : spec.sm.states()) {
-    for (const auto& fn : spec.sm.recovery_walk(state)) EXPECT_NE(fn, "evt_wait");
+  for (std::size_t s = 0; s < spec.sm.live_state_count(); ++s) {
+    for (const auto& fn : test::walk_names(spec.sm, static_cast<c3::StateId>(s))) {
+      EXPECT_NE(fn, "evt_wait");
+    }
   }
 }
 

@@ -558,6 +558,9 @@ TEST(MultiCoreEpochTest, CreateAppWhileThreadsInvokeAtTwoCores) {
     }
   });
   kern.thd_create("creator", 10, [&] {
+    // At two cores the creator can otherwise finish before the invoker's
+    // host thread first runs, and no app would be created during an invoke.
+    while (calls.load() == 0) kern.yield();
     for (int i = 0; i < kApps; ++i) {
       auto& app = sys.create_app("app" + std::to_string(i));
       newest.store(app.id());

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "c3/state_machine.hpp"
 #include "components/system.hpp"
 #include "components/trace_check.hpp"
 #include "kernel/kernel.hpp"
@@ -70,6 +71,14 @@ inline void run_threads(components::System& system,
     system.kernel().thd_create("test-thd-" + std::to_string(index++), prio, std::move(body));
   }
   system.kernel().run();
+}
+
+/// `state`'s R0 recovery walk with its fn ids mapped back to names, so tests
+/// can state expected walks, and compare machines whose ids may differ.
+inline std::vector<std::string> walk_names(const c3::DescStateMachine& sm, c3::StateId state) {
+  std::vector<std::string> names;
+  for (const c3::FnId fn : sm.recovery_walk_ids(state)) names.push_back(sm.fn_name(fn));
+  return names;
 }
 
 /// Test parameter naming one service's spec builder. It prints as the service
